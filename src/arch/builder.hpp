@@ -54,8 +54,8 @@ BufferImpl map_physical(std::int64_t depth, const BuildOptions& options);
 /// (Eq. 2 / W words of W elements). FIFO `depth` fields keep the Eq. 2
 /// element bounds so element-stream semantics are width-invariant.
 /// Throws Error when width < 1 or width > kMaxDatapathWidth. Rows
-/// narrower than W are legal -- the fast backend retires them through its
-/// scalar remainder path, they just waste lanes -- but widths that cannot
+/// narrower than W are legal -- their cells count as scalar remainder
+/// cycles, they just waste lanes -- but widths that cannot
 /// ever fill a vector (W larger than the longest streamed row) are
 /// rejected, because such a design buys padding without any bandwidth.
 AcceleratorDesign widen_design(AcceleratorDesign design, std::int64_t width,

@@ -40,7 +40,7 @@ class SliceFeed final : public sim::ExternalFeed {
   bool available(const poly::IntVec&) override { return true; }
   double read(const poly::IntVec& h) override;
   /// Slice data is resident and immutable for the tile's whole run, so the
-  /// fast backend may batch wide steps over this feed.
+  /// fast backend may retire firing bursts over this feed.
   bool time_invariant() const override { return true; }
 
  private:

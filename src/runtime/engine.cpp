@@ -550,13 +550,8 @@ struct FrameEngine::Impl {
           }
         }
       }
-      double* const outputs = frame.result.outputs.data();
-      const std::int64_t* const ranks = tile.output_ranks.data();
-      std::size_t k = 0;
-      sim.set_output_callback(
-          [outputs, ranks, &k](const poly::IntVec&, double value) {
-            outputs[ranks[k++]] = value;
-          });
+      sim.set_output_ranks(frame.result.outputs.data(),
+                           tile.output_ranks.data());
       const sim::SimResult r = sim.run();
       // Emitted while the tile span is open, so the frame's flow arrow
       // binds to this tile slice in Perfetto.

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "stencil/golden.hpp"
 #include "util/error.hpp"
@@ -21,6 +22,11 @@ namespace nup::sim {
 namespace {
 
 constexpr std::int64_t kNever = kNeverMatches;
+
+/// Micro-cycles a burst retires per block: the lane matrix holds this many
+/// values per kernel reference, small enough to stay in L1 for the widest
+/// gallery window.
+constexpr std::int64_t kBlock = 128;
 
 /// Ring buffer of data values only: the point of the token at the head is
 /// recovered from the consumer filter's stream position, so tokens shrink
@@ -69,10 +75,10 @@ struct FastFifo {
     count -= n;
   }
 
-  /// Pushes `n` values from src. Requires count + n <= capacity. The wide
-  /// path pops before pushing (like the scalar firing cycle), so occupancy
-  /// never exceeds the value it had entering the batch and max_fill is
-  /// untouched -- a batch is only entered at steady occupancy.
+  /// Pushes `n` values from src. Requires count + n <= capacity. A burst
+  /// block pops before pushing (like the scalar firing cycle), so occupancy
+  /// never exceeds the value it had entering the burst and max_fill is
+  /// untouched -- a burst is only entered at steady occupancy.
   void push_block(const double* src, std::int64_t n) {
     const std::size_t cap = values.size();
     std::size_t tail = head + static_cast<std::size_t>(count);
@@ -98,8 +104,8 @@ struct FastFilter {
   std::int64_t in_pos = 0;    // stream elements consumed so far
   std::int64_t next_match = kNever;  // stream position of out's point
   /// Contiguous stream ranks starting at next_match (scanner run length):
-  /// >= W means the next W output points match W consecutive stream
-  /// elements, one of the wide-step preconditions.
+  /// the next match_run output points match consecutive stream elements,
+  /// one of the bounds on a burst.
   std::int64_t match_run = 0;
   int segment = -1;           // feed index when this filter heads a segment
 
@@ -137,8 +143,8 @@ bool aligned_with_iteration(const RowProgram& iter, const RowProgram& out,
 }
 
 // ---------------------------------------------------------------------------
-// W-wide weighted-sum kernel. All variants evaluate, for every lane l,
-//   out[l] = sum_k weights[k] * lanes[k*width + l]
+// Block weighted-sum kernel. All variants evaluate, for every lane l < count,
+//   out[l] = sum_k weights[k] * lanes[k*stride + l]
 // in ascending k with one multiply-accumulate per term -- the same
 // per-lane operation sequence as make_weighted_sum's scalar loop. Whether
 // the scalar loop compiled to separate mul+add or to fused fma depends on
@@ -146,28 +152,30 @@ bool aligned_with_iteration(const RowProgram& iter, const RowProgram& out,
 // construction by probing each candidate against the program's actual
 // KernelFn on random vectors and falls back to per-lane kernel calls when
 // none is bit-identical. Correctness therefore never depends on compiler
-// flags; only the fast path's speed does.
+// flags; only the burst path's speed does.
 
 enum class VecKernelMode { kPerLane, kScalarMulAdd, kScalarFma, kAvx2 };
 
-void weighted_sum_muladd(const double* lanes, const double* weights,
-                         std::size_t refs, std::int64_t width, double* out) {
-  for (std::int64_t l = 0; l < width; ++l) {
+void weighted_sum_muladd(const double* lanes, std::size_t stride,
+                         const double* weights, std::size_t refs,
+                         std::int64_t count, double* out) {
+  for (std::int64_t l = 0; l < count; ++l) {
     double acc = 0.0;
     for (std::size_t k = 0; k < refs; ++k) {
-      const double prod = weights[k] * lanes[k * width + l];
+      const double prod = weights[k] * lanes[k * stride + l];
       acc += prod;
     }
     out[l] = acc;
   }
 }
 
-void weighted_sum_fma(const double* lanes, const double* weights,
-                      std::size_t refs, std::int64_t width, double* out) {
-  for (std::int64_t l = 0; l < width; ++l) {
+void weighted_sum_fma(const double* lanes, std::size_t stride,
+                      const double* weights, std::size_t refs,
+                      std::int64_t count, double* out) {
+  for (std::int64_t l = 0; l < count; ++l) {
     double acc = 0.0;
     for (std::size_t k = 0; k < refs; ++k) {
-      acc = std::fma(weights[k], lanes[k * width + l], acc);
+      acc = std::fma(weights[k], lanes[k * stride + l], acc);
     }
     out[l] = acc;
   }
@@ -177,21 +185,22 @@ void weighted_sum_fma(const double* lanes, const double* weights,
 /// 4 lanes per iteration with fused multiply-add; remainder lanes use
 /// std::fma so every lane sees the identical fma-contracted sequence.
 __attribute__((target("avx2,fma"))) void weighted_sum_avx2(
-    const double* lanes, const double* weights, std::size_t refs,
-    std::int64_t width, double* out) {
+    const double* lanes, std::size_t stride, const double* weights,
+    std::size_t refs, std::int64_t count, double* out) {
+  const std::int64_t vector_end = count - count % 4;
   std::int64_t l = 0;
-  for (; l + 4 <= width; l += 4) {
+  for (; l < vector_end; l += 4) {
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t k = 0; k < refs; ++k) {
-      const __m256d v = _mm256_loadu_pd(lanes + k * width + l);
+      const __m256d v = _mm256_loadu_pd(lanes + k * stride + l);
       acc = _mm256_fmadd_pd(_mm256_set1_pd(weights[k]), v, acc);
     }
     _mm256_storeu_pd(out + l, acc);
   }
-  for (; l < width; ++l) {
+  for (; l < count; ++l) {
     double acc = 0.0;
     for (std::size_t k = 0; k < refs; ++k) {
-      acc = std::fma(weights[k], lanes[k * width + l], acc);
+      acc = std::fma(weights[k], lanes[k * stride + l], acc);
     }
     out[l] = acc;
   }
@@ -205,19 +214,19 @@ bool avx2_supported() {
 #endif
 
 void run_vec_kernel(VecKernelMode mode, const double* lanes,
-                    const double* weights, std::size_t refs,
-                    std::int64_t width, double* out) {
+                    std::size_t stride, const double* weights,
+                    std::size_t refs, std::int64_t count, double* out) {
   switch (mode) {
 #if NUP_HAVE_AVX2
     case VecKernelMode::kAvx2:
-      weighted_sum_avx2(lanes, weights, refs, width, out);
+      weighted_sum_avx2(lanes, stride, weights, refs, count, out);
       return;
 #endif
     case VecKernelMode::kScalarFma:
-      weighted_sum_fma(lanes, weights, refs, width, out);
+      weighted_sum_fma(lanes, stride, weights, refs, count, out);
       return;
     default:
-      weighted_sum_muladd(lanes, weights, refs, width, out);
+      weighted_sum_muladd(lanes, stride, weights, refs, count, out);
       return;
   }
 }
@@ -227,31 +236,28 @@ void run_vec_kernel(VecKernelMode mode, const double* lanes,
 /// variant); kPerLane when none is -- e.g. a kernel compiled with an
 /// association the candidates do not reproduce.
 VecKernelMode probe_vec_kernel(const stencil::KernelFn& kernel,
-                               const std::vector<double>& weights,
-                               std::int64_t width) {
+                               const std::vector<double>& weights) {
   const std::size_t refs = weights.size();
-  if (refs == 0 || width <= 1) return VecKernelMode::kPerLane;
   // The probe is a safety net on top of the structural guarantee (the
   // canonical kernel is itself an fma chain, see make_weighted_sum): a
   // candidate that differs from the kernel anywhere is overwhelmingly
   // unlikely to match all of these lanes bit-for-bit.
-  const std::int64_t probe_lanes = std::max<std::int64_t>(width, 256);
-  std::vector<double> lanes(refs * static_cast<std::size_t>(probe_lanes));
+  constexpr std::size_t probe_lanes = 256;
+  std::vector<double> lanes(refs * probe_lanes);
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   for (double& v : lanes) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     v = static_cast<double>(state >> 11) * 0x1.0p-53;  // [0, 1)
   }
-  std::vector<double> expected(static_cast<std::size_t>(probe_lanes));
+  std::vector<double> expected(probe_lanes);
   std::vector<double> values(refs);
-  for (std::int64_t l = 0; l < probe_lanes; ++l) {
+  for (std::size_t l = 0; l < probe_lanes; ++l) {
     for (std::size_t k = 0; k < refs; ++k) {
-      values[k] = lanes[k * static_cast<std::size_t>(probe_lanes) +
-                        static_cast<std::size_t>(l)];
+      values[k] = lanes[k * probe_lanes + l];
     }
-    expected[static_cast<std::size_t>(l)] = kernel(values);
+    expected[l] = kernel(values);
   }
-  std::vector<double> got(static_cast<std::size_t>(probe_lanes));
+  std::vector<double> got(probe_lanes);
   std::vector<VecKernelMode> candidates;
 #if NUP_HAVE_AVX2
   if (avx2_supported()) candidates.push_back(VecKernelMode::kAvx2);
@@ -259,14 +265,47 @@ VecKernelMode probe_vec_kernel(const stencil::KernelFn& kernel,
   candidates.push_back(VecKernelMode::kScalarFma);
   candidates.push_back(VecKernelMode::kScalarMulAdd);
   for (VecKernelMode mode : candidates) {
-    run_vec_kernel(mode, lanes.data(), weights.data(), refs, probe_lanes,
-                   got.data());
+    run_vec_kernel(mode, lanes.data(), probe_lanes, weights.data(), refs,
+                   probe_lanes, got.data());
     if (std::memcmp(got.data(), expected.data(),
                     got.size() * sizeof(double)) == 0) {
       return mode;
     }
   }
   return VecKernelMode::kPerLane;
+}
+
+/// The block kernel for `program`: the probe verdict for its recorded
+/// weights, or kPerLane for an opaque kernel. The weights always come from
+/// the running program, never from the shared plan -- the design cache's
+/// key ignores the kernel, so programs with different weights share one
+/// plan. A program with recorded weights always runs
+/// make_weighted_sum(weights) (set_kernel clears them), so the verdict is
+/// a function of the weights alone and is memoized per weight vector:
+/// each kernel is probed once per process, not once per simulated tile.
+VecKernelMode vec_kernel_for(const stencil::StencilProgram& program) {
+  const std::vector<double>& weights = program.weighted_sum_weights();
+  if (weights.empty() || weights.size() != program.total_references()) {
+    return VecKernelMode::kPerLane;
+  }
+  static std::mutex mu;
+  static std::vector<std::pair<std::vector<double>, VecKernelMode>> memo;
+  const auto same = [&weights](const std::vector<double>& w) {
+    return w.size() == weights.size() &&
+           std::memcmp(w.data(), weights.data(),
+                       w.size() * sizeof(double)) == 0;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto& [w, mode] : memo) {
+      if (same(w)) return mode;
+    }
+  }
+  const VecKernelMode mode = probe_vec_kernel(program.kernel(), weights);
+  std::lock_guard<std::mutex> lock(mu);
+  if (memo.size() >= 64) memo.clear();  // bounded: random-weight sweeps
+  memo.emplace_back(weights, mode);
+  return mode;
 }
 
 struct FastSystem {
@@ -279,8 +318,8 @@ struct FastSystem {
   std::vector<unsigned char> synthetic;
   std::vector<FastFifo> fifos;
   std::vector<FastFilter> filters;
-  /// lane_slot[k]: row of filter k's W-element block in the Impl's lane
-  /// matrix = the kernel's reference slot (arrays then refs, source order).
+  /// lane_slot[k]: row of filter k's block in the Impl's lane matrix = the
+  /// kernel's reference slot (arrays then refs, source order).
   std::vector<std::size_t> lane_slot;
 
   // Per-cycle scratch, indexed by filter.
@@ -307,6 +346,8 @@ struct FastSim::Impl {
   bool ports_structurally_valid = false;
 
   std::function<void(const poly::IntVec&, double)> output_callback;
+  double* sink_values = nullptr;  ///< rank-indexed sink (set_output_ranks)
+  const std::int64_t* sink_ranks = nullptr;
 
   SimResult result;
   std::string stream_point_this_cycle;  // only filled while tracing
@@ -315,14 +356,13 @@ struct FastSim::Impl {
   std::int64_t last_fire_cycle = 0;
   std::vector<double> gathered;  // kernel argument scratch
 
-  // W-wide execution state (inert when width == 1).
-  std::int64_t width = 1;       ///< micro-cycles a wide step may retire
-  std::int64_t last_width = 1;  ///< micro-cycles the last step() retired
-  std::int64_t datapath_cycles = 0;  ///< step() invocations (machine cycles)
+  // Burst state.
+  std::int64_t width = 1;         ///< design datapath width (accounting only)
+  std::int64_t last_retired = 1;  ///< micro-cycles the last step() retired
+  std::int64_t datapath_cycles = 0;  ///< machine cycles of the W-wide datapath
   VecKernelMode vec_mode = VecKernelMode::kPerLane;
-  std::vector<double> weights;   ///< slot order; empty -> per-lane kernel
-  std::vector<double> lane_vals;  ///< refs x width lane matrix, slot-major
-  std::vector<double> lane_out;   ///< width kernel outputs
+  std::vector<double> lane_vals;  ///< refs x kBlock lane matrix, slot-major
+  std::vector<double> lane_out;   ///< kBlock kernel outputs
   poly::IntVec lane_point;        ///< per-lane point scratch
 
   bool done() const { return result.kernel_fires == total_iterations; }
@@ -337,8 +377,9 @@ struct FastSim::Impl {
   void commit_kernel();
   void record_trace(bool fire);
   std::string describe_stall() const;
-  bool batch_ready(FastSystem& sys);
-  bool try_wide_step();
+  std::int64_t burst_length();
+  void retire_block(std::int64_t count);
+  void retire_burst(std::int64_t run);
   bool step();
 };
 
@@ -375,19 +416,6 @@ std::shared_ptr<const FastPlan> compile_fast_plan(
   // with respect to this program object; kernel() is then a pure read for
   // every concurrent simulation that shares the plan.
   (void)program.kernel();
-  plan->lanes.width = std::max<std::int64_t>(1, design.datapath_width);
-  plan->lanes.min_row_span = std::numeric_limits<std::int64_t>::max();
-  for (const RowProgram::Row& row : plan->iteration.rows) {
-    for (const poly::Interval& iv : row.intervals) {
-      plan->lanes.min_row_span =
-          std::min(plan->lanes.min_row_span, iv.hi - iv.lo + 1);
-    }
-  }
-  if (plan->iteration.rows.empty()) plan->lanes.min_row_span = 0;
-  plan->lanes.weights = program.weighted_sum_weights();
-  if (plan->lanes.weights.size() != program.total_references()) {
-    plan->lanes.weights.clear();
-  }
   return plan;
 }
 
@@ -453,27 +481,19 @@ FastSim::FastSim(const stencil::StencilProgram& program,
     sys.moved.assign(n, 0.0);
   }
 
-  im.width = options.vectorize
-                 ? std::max<std::int64_t>(1, design.datapath_width)
-                 : 1;
-  if (im.width > 1) {
-    const std::size_t refs = program.total_references();
+  im.width = std::max<std::int64_t>(1, design.datapath_width);
+  if (options.vectorize) {
     std::size_t base = 0;
-    for (std::size_t s = 0; s < im.systems.size(); ++s) {
-      FastSystem& sys = im.systems[s];
+    for (FastSystem& sys : im.systems) {
       sys.lane_slot.resize(sys.filters.size());
       for (std::size_t k = 0; k < sys.filters.size(); ++k) {
         sys.lane_slot[k] = base + sys.design->ref_order[k];
       }
       base += sys.filters.size();
     }
-    im.lane_vals.assign(refs * static_cast<std::size_t>(im.width), 0.0);
-    im.lane_out.assign(static_cast<std::size_t>(im.width), 0.0);
-    im.weights = im.plan->lanes.weights;
-    if (im.weights.size() == refs && refs > 0) {
-      im.vec_mode = probe_vec_kernel(program.kernel(), im.weights, im.width);
-    }
-    if (im.vec_mode == VecKernelMode::kPerLane) im.weights.clear();
+    im.lane_vals.assign(program.total_references() * kBlock, 0.0);
+    im.lane_out.assign(kBlock, 0.0);
+    im.vec_mode = vec_kernel_for(program);
   }
 
   im.result.fifo_max_fill.resize(design.systems.size());
@@ -500,6 +520,11 @@ void FastSim::set_output_callback(
   impl_->output_callback = std::move(callback);
 }
 
+void FastSim::set_output_ranks(double* values, const std::int64_t* ranks) {
+  impl_->sink_values = values;
+  impl_->sink_ranks = ranks;
+}
+
 bool FastSim::done() const { return impl_->done(); }
 
 std::int64_t FastSim::cycle() const { return impl_->cycle; }
@@ -512,7 +537,9 @@ std::int64_t FastSim::fifo_fill(std::size_t system, std::size_t fifo) const {
   return impl_->systems.at(system).fifos.at(fifo).count;
 }
 
-std::int64_t FastSim::last_step_width() const { return impl_->last_width; }
+std::int64_t FastSim::last_step_width() const {
+  return impl_->last_retired;
+}
 
 double FastSim::Impl::read_source(FastSystem& sys, FastFilter& filter) {
   if (sys.synthetic[filter.segment]) {
@@ -681,6 +708,7 @@ void FastSim::Impl::commit_kernel() {
   }
   const double output = program->kernel()(gathered);
   if (options.record_outputs) result.outputs.push_back(output);
+  if (sink_values) sink_values[sink_ranks[result.kernel_fires]] = output;
   if (output_callback) output_callback(i, output);
   kernel_cursor.advance();
   ++result.kernel_fires;
@@ -736,141 +764,166 @@ std::string FastSim::Impl::describe_stall() const {
   return out.str();
 }
 
-/// Side-effect-free test that every filter of `sys` is about to fire for
-/// `width` consecutive micro-cycles: match established and running for W
-/// consecutive stream ranks, W output points left in the row interval,
-/// heads with W streamable points from a time-invariant feed, non-heads
-/// with a non-empty upstream FIFO (occupancy is invariant across firing
-/// cycles, so one element now means one element on every batched cycle).
-bool FastSim::Impl::batch_ready(FastSystem& sys) {
-  const std::size_t n = sys.filters.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const FastFilter& filter = sys.filters[k];
-    if (!filter.out.is_valid) return false;
-    if (filter.in_pos != filter.next_match) return false;
-    if (filter.match_run < width) return false;
-    if (filter.out.remaining_in_interval() < width) return false;
-    if (filter.segment >= 0) {
-      if (!filter.in.is_valid ||
-          filter.in.remaining_in_interval() < width) {
-        return false;
+/// Length of the guaranteed-firing run that starts at the next cycle: the
+/// number of consecutive micro-cycles on which every filter of every chain
+/// provably fires. Each filter's match is established and runs on for
+/// match_run stream ranks; every cursor bounds the run by what is left of
+/// its row interval; a non-head's upstream FIFO is non-empty (occupancy is
+/// invariant across firing cycles, so one element now means one element on
+/// every cycle of the run); a head's feed is synthetic, or time-invariant
+/// and available for every point of the run. 0 when the next cycle must
+/// take the per-cycle path. Side-effect free.
+std::int64_t FastSim::Impl::burst_length() {
+  if (!kernel_cursor.is_valid) return 0;
+  if (options.trace_cycles > 0 && cycle < options.trace_cycles) return 0;
+  if (options.validate && !ports_structurally_valid) return 0;
+  std::int64_t run = std::min(kernel_cursor.remaining_in_interval(),
+                              options.max_cycles - cycle);
+  for (const FastSystem& sys : systems) {
+    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
+      const FastFilter& filter = sys.filters[k];
+      if (!filter.out.is_valid || filter.in_pos != filter.next_match) {
+        return 0;
       }
-      if (!sys.synthetic[filter.segment]) {
-        ExternalFeed& feed = *sys.feeds[filter.segment];
-        if (!feed.time_invariant()) return false;
-        lane_point = filter.in.point();
-        for (std::int64_t l = 0; l < width; ++l) {
-          if (!feed.available(lane_point)) return false;
-          ++lane_point.back();
-        }
+      run = std::min({run, filter.match_run,
+                      filter.out.remaining_in_interval()});
+      if (filter.segment >= 0) {
+        run = std::min(run, filter.in.remaining_in_interval());
+      } else if (sys.fifos[k - 1].count <= 0) {
+        return 0;
       }
-    } else if (sys.fifos[k - 1].count <= 0) {
-      return false;
     }
   }
-  return true;
+  for (const FastSystem& sys : systems) {
+    for (const FastFilter& filter : sys.filters) {
+      if (filter.segment < 0 || sys.synthetic[filter.segment]) continue;
+      ExternalFeed& feed = *sys.feeds[filter.segment];
+      if (!feed.time_invariant()) return 0;
+      lane_point = filter.in.point();
+      for (std::int64_t l = 0; l < run; ++l) {
+        if (!feed.available(lane_point)) {
+          run = l;
+          break;
+        }
+        ++lane_point.back();
+      }
+    }
+  }
+  return std::max<std::int64_t>(run, 0);
 }
 
-/// Retires `width` firing micro-cycles in one wide step, or does nothing
-/// and returns false. Preconditions guarantee every filter fires on all W
-/// cycles, so the batched state transition is exactly W scalar
-/// commit_fire/commit_kernel rounds: each uncut FIFO between firing
-/// filters sees one pop + one push per cycle (occupancy invariant), and
-/// the values a filter consumes are the FIFO's take = min(count, W)
-/// oldest elements followed by the first W - take values its upstream
-/// neighbour consumed this same batch (pushed at cycle j, popped at cycle
-/// j + count). The FIFO afterwards holds the last `take` upstream values.
-bool FastSim::Impl::try_wide_step() {
-  if (!kernel_cursor.is_valid ||
-      kernel_cursor.remaining_in_interval() < width) {
-    return false;
-  }
-  if (cycle + width > options.max_cycles) return false;
-  if (options.trace_cycles > 0 && cycle < options.trace_cycles) return false;
-  if (options.validate && !ports_structurally_valid) return false;
+/// Retires `count` <= kBlock firing micro-cycles of a burst. Each uncut
+/// FIFO between firing filters sees one pop + one push per cycle
+/// (occupancy invariant), so the values a filter consumes are the FIFO's
+/// take = min(count_in_fifo, count) oldest elements followed by the first
+/// count - take values its upstream neighbour consumed in this same block
+/// (pushed at cycle j, popped at cycle j + occupancy); the FIFO afterwards
+/// holds the last `take` upstream values. Cursors advance but are not
+/// re-seeked: retire_burst does that once at the end.
+void FastSim::Impl::retire_block(std::int64_t count) {
   for (FastSystem& sys : systems) {
-    if (!batch_ready(sys)) return false;
-  }
-
-  const std::int64_t start = cycle;
-  cycle += width;
-  const std::size_t w = static_cast<std::size_t>(width);
-  for (FastSystem& sys : systems) {
-    const std::size_t n = sys.filters.size();
-    for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
       FastFilter& filter = sys.filters[k];
-      double* block = lane_vals.data() + sys.lane_slot[k] * w;
+      double* block = lane_vals.data() + sys.lane_slot[k] * kBlock;
       if (filter.segment >= 0) {
-        lane_point = filter.in.point();
+        const poly::IntVec& first = filter.in.point();
         if (sys.synthetic[filter.segment]) {
-          for (std::int64_t l = 0; l < width; ++l) {
-            block[l] = stencil::synthetic_value(
-                options.seed, sys.design->array_index, lane_point);
-            ++lane_point.back();
+          // The outer coordinates are fixed across the block.
+          std::uint64_t row =
+              stencil::synthetic_state(options.seed, sys.design->array_index);
+          for (std::size_t d = 0; d + 1 < first.size(); ++d) {
+            row = stencil::synthetic_mix(row, first[d]);
+          }
+          for (std::int64_t l = 0; l < count; ++l) {
+            block[l] = stencil::synthetic_unit(
+                stencil::synthetic_mix(row, first.back() + l));
           }
         } else {
           ExternalFeed& feed = *sys.feeds[filter.segment];
-          for (std::int64_t l = 0; l < width; ++l) {
+          lane_point = first;
+          for (std::int64_t l = 0; l < count; ++l) {
             block[l] = feed.read(lane_point);
             ++lane_point.back();
           }
         }
-        filter.in.advance_by(width);
+        filter.in.advance_by(count);
       } else {
         FastFifo& fifo = sys.fifos[k - 1];
         const double* upstream =
-            lane_vals.data() + sys.lane_slot[k - 1] * w;
-        const std::int64_t take = std::min(fifo.count, width);
+            lane_vals.data() + sys.lane_slot[k - 1] * kBlock;
+        const std::int64_t take = std::min(fifo.count, count);
         fifo.pop_block(take, block);
         std::memcpy(block + take, upstream,
-                    static_cast<std::size_t>(width - take) * sizeof(double));
-        fifo.push_block(upstream + (width - take), take);
+                    static_cast<std::size_t>(count - take) * sizeof(double));
+        fifo.push_block(upstream + (count - take), take);
       }
-      filter.in_pos += width;
-      filter.out.advance_by(width);
-      filter.reseek();
+      filter.in_pos += count;
+      filter.out.advance_by(count);
     }
   }
 
-  // W kernel fires: the vectorized weighted sum when the probe proved it
-  // bit-identical, otherwise one kernel call per lane.
-  if (!weights.empty()) {
-    run_vec_kernel(vec_mode, lane_vals.data(), weights.data(),
-                   weights.size(), width, lane_out.data());
+  // The block's kernel fires: the probed weighted sum when it is
+  // bit-identical to the program's kernel, otherwise one call per lane.
+  if (vec_mode != VecKernelMode::kPerLane) {
+    const std::vector<double>& weights = program->weighted_sum_weights();
+    run_vec_kernel(vec_mode, lane_vals.data(), kBlock, weights.data(),
+                   weights.size(), count, lane_out.data());
   } else {
-    const std::size_t refs = gathered.size();
-    for (std::int64_t l = 0; l < width; ++l) {
-      for (std::size_t r = 0; r < refs; ++r) {
-        gathered[r] = lane_vals[r * w + static_cast<std::size_t>(l)];
+    for (std::int64_t l = 0; l < count; ++l) {
+      for (std::size_t r = 0; r < gathered.size(); ++r) {
+        gathered[r] = lane_vals[r * kBlock + l];
       }
-      lane_out[static_cast<std::size_t>(l)] = program->kernel()(gathered);
+      lane_out[l] = program->kernel()(gathered);
     }
   }
+  const double* const values = lane_out.data();
   if (options.record_outputs) {
-    result.outputs.insert(result.outputs.end(), lane_out.begin(),
-                          lane_out.end());
+    result.outputs.insert(result.outputs.end(), values, values + count);
+  }
+  if (sink_values) {
+    const std::int64_t* const ranks = sink_ranks + result.kernel_fires;
+    for (std::int64_t l = 0; l < count; ++l) sink_values[ranks[l]] = values[l];
   }
   if (output_callback) {
     lane_point = kernel_cursor.point();
-    for (std::int64_t l = 0; l < width; ++l) {
-      output_callback(lane_point, lane_out[static_cast<std::size_t>(l)]);
+    for (std::int64_t l = 0; l < count; ++l) {
+      output_callback(lane_point, values[l]);
       ++lane_point.back();
     }
   }
-  kernel_cursor.advance_by(width);
-  if (result.kernel_fires == 0) result.fill_latency = start + 1;
-  result.kernel_fires += width;
+  result.kernel_fires += count;
+  kernel_cursor.advance_by(count);
+}
+
+/// Retires a guaranteed-firing run of `run` micro-cycles in one step: the
+/// state transition is exactly `run` scalar commit_fire/commit_kernel
+/// rounds. The datapath accounting is that of W-wide steps followed by a
+/// scalar remainder.
+void FastSim::Impl::retire_burst(std::int64_t run) {
+  if (result.kernel_fires == 0) result.fill_latency = cycle + 1;
+  for (std::int64_t done = 0; done < run; done += kBlock) {
+    retire_block(std::min(kBlock, run - done));
+  }
+  for (FastSystem& sys : systems) {
+    for (FastFilter& filter : sys.filters) filter.reseek();
+  }
+  cycle += run;
+  datapath_cycles += run / width + run % width;
   last_fire_cycle = cycle;
   result.drain_start = cycle;  // every micro-cycle streamed off-chip data
   stall_cycles = 0;
-  last_width = width;
-  return true;
+  last_retired = run;
 }
 
 bool FastSim::Impl::step() {
+  if (options.vectorize) {
+    if (const std::int64_t run = burst_length(); run > 0) {
+      retire_burst(run);
+      return true;
+    }
+  }
   ++datapath_cycles;
-  if (width > 1 && try_wide_step()) return true;
-  last_width = 1;
+  last_retired = 1;
   ++cycle;
   const bool tracing =
       options.trace_cycles > 0 && cycle <= options.trace_cycles;
@@ -983,10 +1036,10 @@ DifferentialReport run_differential(const stencil::StencilProgram& program,
   };
 
   // Lockstep comparison, replicating run()'s stall accounting. One fast
-  // step may retire W scalar micro-cycles on a wide design; the reference
-  // is stepped that many times and the states compared at the batch
-  // boundary (the batch preconditions guarantee every micro-cycle fired,
-  // so the boundary is the only place the flags can be observed anyway).
+  // step may retire a burst of R scalar micro-cycles; the reference is
+  // stepped that many times and the states compared at the burst boundary
+  // (the burst preconditions guarantee every micro-cycle fired, so the
+  // boundary is the only place the flags can be observed anyway).
   std::int64_t stall_cycles = 0;
   std::string ref_error;
   std::string fast_error;

@@ -19,33 +19,20 @@ namespace nup::sim {
 /// every filter's data domain D_Ax, plus the structural port-validity
 /// proof. Compiling these tables dominates FastSim's construction cost, so
 /// the runtime's design cache memoizes a shared plan and every simulation
-/// of the same design starts in O(FIFO storage) instead. A FastPlan is
-/// immutable after compile_fast_plan returns and is safe to share across
-/// threads.
+/// of the same design starts in O(FIFO storage) instead. Nothing in a plan
+/// depends on the kernel, so programs that differ only in their kernel
+/// (which the design cache's key ignores) may share one; FastSim always
+/// evaluates the running program's kernel. A FastPlan is immutable after
+/// compile_fast_plan returns and is safe to share across threads.
 struct FastPlan {
   struct SystemPlan {
     RowProgram input;                    ///< streamed hull of the segments
     std::vector<RowProgram> filter_out;  ///< D_Ax per filter, filter order
   };
 
-  /// Lane blocking of the W-wide datapath, precomputed at compile time so
-  /// the per-step batching test never re-derives it.
-  struct LaneInfo {
-    std::int64_t width = 1;  ///< design.datapath_width
-    /// Shortest row interval across the iteration program: rows narrower
-    /// than the width can never fill a vector and always retire through the
-    /// scalar remainder path. Purely informational (benches report it).
-    std::int64_t min_row_span = 0;
-    /// Kernel weights in reference slot order when the kernel's linear
-    /// structure is known (StencilProgram::weighted_sum_weights); empty
-    /// forces the per-lane kernel-call path on wide steps.
-    std::vector<double> weights;
-  };
-
   RowProgram iteration;
   std::int64_t total_iterations = 0;
   std::vector<SystemPlan> systems;
-  LaneInfo lanes;
   /// Every output counter proved to track the iteration counter + offset;
   /// the per-fire port validation is then a no-op.
   bool ports_structurally_valid = false;
@@ -74,27 +61,35 @@ std::shared_ptr<const FastPlan> compile_fast_plan(
 /// a per-filter input counter replaces the per-token points of the
 /// reference backend.
 ///
-/// On designs with datapath_width W > 1 (and SimOptions::vectorize), a
-/// step() may retire up to W scalar micro-cycles at once: when every filter
-/// of every chain is provably about to fire for W consecutive cycles (all
-/// cursors have >= W points left in their row interval, every match run
-/// covers W consecutive stream ranks, feeds are time-invariant), the wide
-/// path moves W-element blocks through the FIFOs and evaluates W kernel
-/// lanes per fire -- with an AVX2 inner loop when the host supports it and
-/// the kernel's weighted-sum structure is known, bit-identically to the
-/// scalar path (verified at construction by probing, and continuously by
-/// run_differential). Boundary/remainder cells, stall cycles, traced
-/// cycles and timed feeds always take the scalar path, so every
-/// scalar-cycle observable (cycles, fires, occupancies, outputs, stalls)
-/// is invariant in W; only SimResult::datapath_cycles shrinks.
+/// Steady state is retired in bursts. At every step() the backend computes
+/// the guaranteed-firing run R: the number of consecutive cycles on which
+/// every filter of every chain provably fires (each filter's match is
+/// established and runs for R consecutive stream ranks, every cursor has R
+/// points left in its row interval, every upstream FIFO is non-empty, the
+/// feeds are synthetic or time-invariant and available, the cycles are not
+/// traced, the ports are structurally valid). One step() then retires all
+/// R micro-cycles, moving fixed-size blocks through the FIFO rings and
+/// evaluating the kernel over each block -- with an AVX2 inner loop when
+/// the host supports it and the kernel's weighted-sum structure is known,
+/// bit-identically to the scalar path (verified once per kernel by
+/// probing, and continuously by run_differential). Stall cycles, traced
+/// cycles, timed feeds and SimOptions::vectorize = false take the
+/// per-cycle path, so every scalar-cycle observable (cycles, fires,
+/// occupancies, outputs, stalls) is invariant in how the run is retired.
+///
+/// The design's datapath_width W does not gate batching; it only sets the
+/// hardware accounting. A burst of R counts floor(R / W) + R mod W machine
+/// cycles in SimResult::datapath_cycles -- W-wide steps followed by a
+/// scalar remainder -- and a per-cycle step counts one.
 class FastSim {
  public:
   FastSim(const stencil::StencilProgram& program,
           const arch::AcceleratorDesign& design, SimOptions options = {});
 
   /// Construction from a memoized plan (see FastPlan): skips all row-table
-  /// compilation. `plan` must have been compiled for exactly this
-  /// (program, design) pair; `program` and `design` must outlive the sim.
+  /// compilation. `plan` must have been compiled for this design and a
+  /// program with the same iteration domain and references (the kernel may
+  /// differ); `program` and `design` must outlive the sim.
   FastSim(const stencil::StencilProgram& program,
           const arch::AcceleratorDesign& design,
           std::shared_ptr<const FastPlan> plan, SimOptions options = {});
@@ -111,7 +106,14 @@ class FastSim {
   void set_output_callback(
       std::function<void(const poly::IntVec&, double)> callback);
 
-  /// Advances one clock cycle. Returns true if any module made progress.
+  /// Rank-indexed output sink: the n-th kernel output (iteration order) is
+  /// stored to values[ranks[n]]. Both arrays must cover every iteration and
+  /// outlive the run. Independent of set_output_callback; either, both or
+  /// neither may be installed.
+  void set_output_ranks(double* values, const std::int64_t* ranks);
+
+  /// Advances one clock cycle, or a whole burst of cycles (see
+  /// last_step_width). Returns true if any module made progress.
   bool step();
 
   bool done() const;
@@ -124,9 +126,9 @@ class FastSim {
   std::int64_t cycle() const;
   std::int64_t kernel_fires() const;
   std::int64_t fifo_fill(std::size_t system, std::size_t fifo) const;
-  /// Scalar micro-cycles the most recent step() retired: the datapath
-  /// width on a wide step, 1 on the scalar path. The differential checker
-  /// steps the reference this many times to stay in lockstep.
+  /// Scalar micro-cycles the most recent step() retired: the burst length
+  /// R on a burst, 1 on the per-cycle path. The differential checker steps
+  /// the reference this many times to stay in lockstep.
   std::int64_t last_step_width() const;
 
  private:
@@ -139,7 +141,7 @@ class FastSim {
 struct DifferentialReport {
   bool agreed = true;
   std::int64_t cycles = 0;      ///< lockstep scalar cycles compared
-  std::int64_t width = 1;       ///< datapath width the fast backend ran at
+  std::int64_t width = 1;       ///< the design's datapath width
   std::string divergence;       ///< first difference; empty when agreed
   SimResult reference;
   SimResult fast;
@@ -149,11 +151,11 @@ struct DifferentialReport {
 /// asserts identical progress flags, kernel-fire counts and per-FIFO
 /// occupancies on every cycle, then compares the finalized results
 /// (cycles, fires, fill latency, steady II, deadlock verdict and detail,
-/// per-FIFO max fill, stall cycles, drain boundary, outputs). On wide
-/// designs one fast step may retire W scalar micro-cycles; the reference
-/// is then stepped W times and the comparison happens at the batch
-/// boundary, so every W is checked cycle-exact against the scalar
-/// reference semantics. Any divergence is reported with the first
+/// per-FIFO max fill, stall cycles, drain boundary, outputs). One fast
+/// step may retire a burst of R scalar micro-cycles; the reference is then
+/// stepped R times and the comparison happens at the burst boundary, so
+/// every run is checked cycle-exact against the scalar reference
+/// semantics. Any divergence is reported with the first
 /// offending cycle; the fast path can never silently drift.
 DifferentialReport run_differential(const stencil::StencilProgram& program,
                                     const arch::AcceleratorDesign& design,

@@ -30,10 +30,10 @@ class ExternalFeed {
 
   /// True when availability and values do not depend on the cycle the
   /// queries happen on: available(h) never flips back to false and read(h)
-  /// is pure. The fast backend only batches W micro-cycles into one wide
-  /// step when every live feed is time-invariant -- a timed feed
-  /// (PrefetchFeed) or a mid-run producer (QueueFeed) could change state
-  /// between the batched micro-cycles, which must stay observable.
+  /// is pure. The fast backend only retires a firing run in one burst
+  /// when every live feed is time-invariant -- a timed feed (PrefetchFeed)
+  /// or a mid-run producer (QueueFeed) could change state between the
+  /// burst's micro-cycles, which must stay observable.
   virtual bool time_invariant() const { return false; }
 };
 

@@ -73,7 +73,7 @@ struct RowCursor {
   }
 
   /// Number of consecutive points left in the current interval, counting
-  /// the current point: the contiguous span a W-wide step may retire
+  /// the current point: the contiguous span a firing burst may retire
   /// without crossing an interval/row boundary. 0 when invalid.
   std::int64_t remaining_in_interval() const {
     if (!is_valid) return 0;
@@ -82,7 +82,7 @@ struct RowCursor {
 
   /// Advances `n` points; the first n-1 must stay inside the current
   /// interval (n <= remaining_in_interval()), so only the final step can
-  /// roll over -- keeping the wide path O(1) per batch.
+  /// roll over -- keeping a burst block O(1) in cursor work.
   void advance_by(std::int64_t n) {
     if (n <= 0) return;
     pt.back() += n - 1;
@@ -112,8 +112,8 @@ struct MatchScanner {
   /// After a successful seek: length of the contiguous stream run starting
   /// at the returned rank (the matched interval's tail, target inclusive).
   /// Consecutive output points in the same interval then occupy consecutive
-  /// stream ranks, which is what lets a W-wide step match W outputs against
-  /// W inputs with one scan. 0 after a kNeverMatches result.
+  /// stream ranks, which is what lets a burst match R outputs against R
+  /// inputs with one scan. 0 after a kNeverMatches result.
   std::int64_t run = 0;
 
   void reset(const RowProgram& p) {

@@ -33,10 +33,12 @@ struct SimOptions {
   bool validate = true;
   /// Keep all kernel outputs in the result (memory-heavy for big grids).
   bool record_outputs = true;
-  /// Allow the fast backend to retire up to design.datapath_width scalar
-  /// micro-cycles per wide step (see SimResult::datapath_cycles). Never
-  /// changes any scalar-cycle observable; disable to force the scalar path
-  /// even on wide designs (useful when isolating vector-path bugs).
+  /// Allow the fast backend to retire each guaranteed-firing run of
+  /// micro-cycles in one step() (a burst; see FastSim), at every datapath
+  /// width. Never changes any scalar-cycle observable; disable to force one
+  /// micro-cycle per step() (useful when isolating burst-path bugs); each
+  /// step is then one machine cycle, so SimResult::datapath_cycles equals
+  /// cycles.
   bool vectorize = true;
 };
 
@@ -61,10 +63,13 @@ struct SimResult {
   std::int64_t cycles = 0;
   std::int64_t kernel_fires = 0;
   /// Machine cycles of the W-wide datapath: the number of wide steps it
-  /// took to retire `cycles` scalar micro-cycles. Equals `cycles` for W=1
+  /// takes to retire `cycles` scalar micro-cycles, with every firing run
+  /// of R cycles counted as floor(R / W) + R mod W. Equals `cycles` for W=1
   /// (and for the reference backend, which is scalar by definition); for
   /// W>1 on the fast backend this is what Fig 14's cycles-per-frame axis
   /// measures -- throughput in frames/s scales with cycles/datapath_cycles.
+  /// Hardware accounting only: how the simulator batches work never
+  /// depends on W.
   std::int64_t datapath_cycles = 0;
   std::int64_t fill_latency = 0;  ///< cycle of the first kernel fire
   /// Steady-state initiation interval: average cycles between kernel fires

@@ -4,20 +4,6 @@
 
 namespace nup::stencil {
 
-double synthetic_value(std::uint64_t seed, std::size_t array_idx,
-                       const poly::IntVec& h) {
-  // SplitMix64-style avalanche over the coordinates; any change to seed,
-  // array index, or one coordinate flips roughly half the output bits.
-  std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ull * (array_idx + 1));
-  for (std::int64_t c : h) {
-    x += static_cast<std::uint64_t>(c) + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-  }
-  return static_cast<double>(x >> 11) * (1.0 / 9007199254740992.0);
-}
-
 GoldenRun run_golden(const StencilProgram& program, std::uint64_t seed) {
   GoldenRun run;
   run.outputs.reserve(

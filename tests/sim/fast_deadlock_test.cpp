@@ -133,7 +133,7 @@ TEST(FastDeadlock, CorrectDesignsNeverDeadlock) {
 // Batching must never mask a wedge: a W-wide FastSim on a broken design
 // has to reach the identical verdict, deadlock_detail, cycle count and
 // per-filter stall tally as W=1 (the scalar path detects the stall, so
-// wide steps simply stop retiring once the chain wedges).
+// firing bursts simply stop once the chain wedges).
 
 /// Builds the design at each width, applies the same mutation, and
 /// requires the W>1 fast runs to match the W=1 fast run field for field.

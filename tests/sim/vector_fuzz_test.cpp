@@ -3,13 +3,12 @@
 // inner widths including rows narrower than W and rows with width % W != 0)
 // through W in {1, 4, 8}, each checked three ways:
 //
-//   1. run_differential: the wide fast backend against the scalar
-//      reference, cycle-exact at every batch boundary;
-//   2. fast-W against fast-1 (options.vectorize = false): every SimResult
-//      field except datapath_cycles must be bit-identical;
+//   1. run_differential: the bursting fast backend against the scalar
+//      reference, cycle-exact at every burst boundary;
+//   2. bursts against single-cycle stepping (options.vectorize = false):
+//      every SimResult field except datapath_cycles must be bit-identical;
 //   3. datapath_cycles bounds: ceil(cycles / W) <= datapath_cycles <=
-//      cycles, with real batching (strict inequality) on vector-friendly
-//      domains.
+//      cycles.
 //
 // The same binary passes with AVX2 (-march=native) and with the scalar
 // fallback (-DNUP_DISABLE_AVX2); CI runs both, plus ASan/UBSan.
@@ -138,8 +137,8 @@ TEST_P(VectorFuzz, WideBackendMatchesScalarAndReference) {
   }
 
   // Family 3: ragged narrow boxes (extents 1..9): domains narrower than
-  // W=8 (and sometimes W=4) exercise the rejected-width property and the
-  // never-batches scalar path right at the boundary.
+  // W=8 (and sometimes W=4) exercise the rejected-width property and
+  // all-remainder accounting right at the boundary.
   ::nup::testing::StencilGenOptions narrow;
   narrow.shape = ::nup::testing::StencilGenOptions::Shape::kRect;
   narrow.min_extent = 1;
@@ -169,10 +168,11 @@ TEST(VectorFuzzGallery, AllGalleryBenchmarksAtEveryWidth) {
 }
 
 TEST(VectorFuzzGallery, WideStepsActuallyBatchOnDenoise) {
-  // Guards against the wide path silently degenerating to scalar: DENOISE
-  // rows are long and rectangular, so steady-state steps retire W cells
-  // (row boundaries and the fill phase fall back to scalar, which is why
-  // the bar is 3x rather than the asymptotic 8x).
+  // Guards against the W=8 accounting silently degenerating to scalar:
+  // DENOISE rows are long and rectangular, so steady-state bursts count
+  // one machine cycle per 8 cells (row boundaries and the fill phase count
+  // one per cell, which is why the bar is 3x rather than the asymptotic
+  // 8x).
   const stencil::StencilProgram p = stencil::denoise_2d(96, 128);
   const arch::AcceleratorDesign design = widened_design(p, 8);
   const SimResult wide = run_fast(p, design, /*vectorize=*/true);
