@@ -89,6 +89,7 @@ struct PipelineExecutor::Impl
   std::vector<std::shared_ptr<const runtime::TilePlan>> plans;
   std::vector<std::size_t> tiles_per_stage;
   std::vector<std::shared_ptr<const EdgeTileMap>> maps;  // per edge
+  std::vector<std::shared_ptr<const StitchPlan>> stitch_plans;  // per edge
   std::vector<std::string> edge_labels;                  // per edge
   /// Per-edge slab arenas, shared by every frame crossing the edge: the
   /// storage retired by frame f is what frame f+1 admits into, which is
@@ -195,6 +196,15 @@ struct PipelineExecutor::Impl
       maps.push_back(std::make_shared<const EdgeTileMap>(
           map_tile_dependencies(*plans[edge.producer], *plans[edge.consumer],
                                 edge.input)));
+      // A wrapped halo read maps to the opposite edge of the producer's
+      // grid; stitch the whole producer domain into the slice so the mapped
+      // coordinate is always resident (wrap runs on whole-frame tiles).
+      const bool wrap =
+          edge.policy.boundary == stencil::BoundaryPolicy::kWrap;
+      stitch_plans.push_back(std::make_shared<const StitchPlan>(plan_stitch(
+          *plans[edge.producer], *plans[edge.consumer], *maps.back(),
+          edge.input, wrap ? edge.producer_lo : poly::IntVec{},
+          wrap ? edge.producer_hi : poly::IntVec{})));
       edge_labels.push_back(
           (options.name.empty() ? std::string() : options.name + ".") +
           edge.label);
@@ -588,17 +598,10 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
   ctx->buffers.reserve(im.graph.edges().size());
   for (std::size_t e = 0; e < im.graph.edges().size(); ++e) {
     const StageEdge& edge = im.graph.edges()[e];
-    // A wrapped halo read maps to the opposite edge of the producer's
-    // grid; stitch the whole producer domain into the slice so the mapped
-    // coordinate is always resident (wrap runs on whole-frame tiles).
-    const bool wrap =
-        edge.policy.boundary == stencil::BoundaryPolicy::kWrap;
     ctx->buffers.push_back(std::make_unique<StageBuffer>(
         im.plans[edge.producer], im.plans[edge.consumer], im.maps[e],
         edge.input, *im.registry, im.edge_labels[e], im.pools[e],
-        wrap ? edge.producer_lo : poly::IntVec{},
-        wrap ? edge.producer_hi : poly::IntVec{}, im.edge_prod_place[e],
-        im.edge_cons_place[e]));
+        im.stitch_plans[e], im.edge_prod_place[e], im.edge_cons_place[e]));
   }
   ctx->slices.resize(stages);
   ctx->released.resize(stages);

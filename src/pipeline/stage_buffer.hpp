@@ -30,15 +30,18 @@ struct Slice {
 
 /// ExternalFeed serving a stitched Slice: always available (the data is
 /// resident by construction -- the consumer tile was only released after
-/// every covering producer tile resolved), values looked up row-major.
-/// Points outside the slice box read 0.0; they can only be hull padding
-/// the consumer's data filters discard, never kernel inputs.
+/// every covering producer tile resolved), values looked up row-major, a
+/// run of one row in one contiguous copy. Points outside the slice box
+/// read 0.0; they can only be hull padding the consumer's data filters
+/// discard, never kernel inputs.
 class SliceFeed final : public sim::ExternalFeed {
  public:
   explicit SliceFeed(Slice slice);
 
   bool available(const poly::IntVec&) override { return true; }
   double read(const poly::IntVec& h) override;
+  void read_run(const poly::IntVec& first, std::int64_t count,
+                double* out) override;
   /// Slice data is resident and immutable for the tile's whole run, so the
   /// fast backend may retire firing bursts over this feed.
   bool time_invariant() const override { return true; }
@@ -58,7 +61,8 @@ class SliceFeed final : public sim::ExternalFeed {
 /// clipped hull, so the stitched slice already holds them; wrap reaches
 /// the opposite side of the grid and therefore requires the inner slice
 /// to span the whole producer domain (the temporal runner forces
-/// whole-frame tiles for wrap edges).
+/// whole-frame tiles for wrap edges). A run hands its part inside the box
+/// to the inner feed's read_run and maps only the edge points one by one.
 class BoundaryFeed final : public sim::ExternalFeed {
  public:
   BoundaryFeed(std::shared_ptr<sim::ExternalFeed> inner, poly::IntVec lo,
@@ -67,6 +71,8 @@ class BoundaryFeed final : public sim::ExternalFeed {
 
   bool available(const poly::IntVec&) override { return true; }
   double read(const poly::IntVec& h) override;
+  void read_run(const poly::IntVec& first, std::int64_t count,
+                double* out) override;
   bool time_invariant() const override { return inner_->time_invariant(); }
 
  private:
@@ -74,7 +80,46 @@ class BoundaryFeed final : public sim::ExternalFeed {
   poly::IntVec lo_, hi_;
   stencil::BoundaryPolicy policy_;
   double constant_;
+  poly::IntVec point_;  ///< read_run scratch
 };
+
+/// One contiguous copy of a stitch: `length` doubles from producer tile
+/// `producer`'s slab, starting at `slab_offset`, to the slice starting at
+/// `slice_offset`.
+struct CopyRun {
+  std::size_t producer = 0;
+  std::int64_t slab_offset = 0;
+  std::int64_t slice_offset = 0;
+  std::int64_t length = 0;
+};
+
+/// The static copy plan of one edge, computed once per (producer plan,
+/// consumer plan) pair and shared by every frame: per consumer tile, the
+/// slice box and the copy runs that assemble it from the covering producer
+/// slabs. A producer slab holds its tile's domain rows back to back in lex
+/// order, so each row interval clipped to the slice box is one run --
+/// exact for sheared and triangular producer domains, whose rows start and
+/// end anywhere.
+struct StitchPlan {
+  struct TileRuns {
+    poly::IntVec lo, hi;   ///< slice box (inclusive grid corners)
+    std::int64_t size = 0; ///< elements in the box
+    std::vector<CopyRun> runs;
+  };
+  std::vector<TileRuns> tiles;  ///< per consumer tile
+};
+
+/// Builds the copy plan of one edge from the producer tiles' row intervals
+/// clipped to each consumer tile's slice box: the consumer's streamed hull
+/// of input `input_index`, unioned with [expand_lo, expand_hi] when those
+/// are non-empty (see StageBuffer). `map` must come from
+/// map_tile_dependencies over the same two plans; runs appear in its
+/// producers_of order. Throws when a consumer hull is not a box.
+StitchPlan plan_stitch(const runtime::TilePlan& producer_plan,
+                       const runtime::TilePlan& consumer_plan,
+                       const EdgeTileMap& map, std::size_t input_index,
+                       const poly::IntVec& expand_lo = {},
+                       const poly::IntVec& expand_hi = {});
 
 /// Per-edge, per-frame staging buffer between a producer and a consumer
 /// stage. Producer workers admit() finished tile slabs; when a consumer
@@ -99,10 +144,11 @@ class StageBuffer {
   /// `label` names the pipeline.edge.<label>.* metric series; the map must
   /// come from map_tile_dependencies over the same two plans. `pool` is
   /// the edge's cross-frame slab arena; a null pool gets the buffer a
-  /// private one (single-frame uses, tests). A non-empty `expand_lo` /
-  /// `expand_hi` box is unioned into every stitched slice box: wrap edges
-  /// pass the producer's domain here, because a wrapped halo read maps to
-  /// the opposite edge of the grid, which a one-sided window's hull does
+  /// private one (single-frame uses, tests). `stitch_plan` is the edge's
+  /// copy plan from plan_stitch; a null plan gets the buffer its own,
+  /// without box expansion. Wrap edges pass a plan whose slice boxes are
+  /// expanded to the producer's domain, because a wrapped halo read maps
+  /// to the opposite edge of the grid, which a one-sided window's hull does
   /// not cover. `producer_nodes` / `consumer_nodes` (optional) are the
   /// engines' tile placements: admit/retire then route a producer tile's
   /// slab through its placed node's pool arena and stitch leases from the
@@ -114,7 +160,7 @@ class StageBuffer {
               std::size_t input_index, obs::Registry& metrics,
               const std::string& label,
               std::shared_ptr<SlabPool> pool = nullptr,
-              poly::IntVec expand_lo = {}, poly::IntVec expand_hi = {},
+              std::shared_ptr<const StitchPlan> stitch_plan = nullptr,
               std::shared_ptr<const runtime::PlacementPlan> producer_nodes =
                   nullptr,
               std::shared_ptr<const runtime::PlacementPlan> consumer_nodes =
@@ -132,7 +178,8 @@ class StageBuffer {
 
   /// Assembles consumer tile `tile_idx`'s input slice over its streamed
   /// hull box from the covering producer slabs (all admitted by
-  /// construction), then retires slabs whose consumers are all served.
+  /// construction) by the plan's copy runs, then retires slabs whose
+  /// consumers are all served.
   Slice stitch(std::size_t tile_idx);
 
   /// Drops consumer tile `tile_idx` from every covering producer slab's
@@ -151,13 +198,11 @@ class StageBuffer {
   std::size_t consumer_arena(std::size_t tile_idx) const;
 
   std::shared_ptr<const runtime::TilePlan> producer_plan_;
-  std::shared_ptr<const runtime::TilePlan> consumer_plan_;
   std::shared_ptr<const EdgeTileMap> map_;
-  std::size_t input_index_;
   std::shared_ptr<SlabPool> pool_;
+  std::shared_ptr<const StitchPlan> stitch_plan_;
   std::shared_ptr<const runtime::PlacementPlan> producer_nodes_;
   std::shared_ptr<const runtime::PlacementPlan> consumer_nodes_;
-  poly::IntVec expand_lo_, expand_hi_;  ///< empty = no expansion
 
   mutable std::mutex mu_;
   std::vector<std::vector<double>> slabs_;     // per producer tile

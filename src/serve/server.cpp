@@ -368,11 +368,14 @@ struct ServerImpl : std::enable_shared_from_this<ServerImpl> {
 
     runtime::SubmitOptions so;
     std::weak_ptr<ServerImpl> weak = weak_from_this();
-    std::shared_ptr<RequestState> req = st;
+    // Weak: the request owns the frame handle, whose state owns this
+    // callback, so a strong capture would keep every served frame alive.
+    // `requests` holds the request until finish() runs.
+    std::weak_ptr<RequestState> req = st;
     so.on_frame = [weak, req](const runtime::FrameResult& fr) {
-      if (std::shared_ptr<ServerImpl> impl = weak.lock()) {
-        impl->finish(req, fr);
-      }
+      std::shared_ptr<ServerImpl> impl = weak.lock();
+      std::shared_ptr<RequestState> state = req.lock();
+      if (impl && state) impl->finish(state, fr);
     };
     // The queue time is fixed before the frame is handed to the engine:
     // a fast frame can resolve (and release waiters) before the

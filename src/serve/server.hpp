@@ -84,6 +84,11 @@ class RequestHandle {
   /// still queued or when it never dispatched).
   std::int64_t queue_us() const;
 
+  /// Weak observer of the request's shared state (which owns its engine
+  /// frame). It expires once the request resolved and the server and
+  /// every handle let go of it; one that stays live marks a leaked frame.
+  std::weak_ptr<const void> observe() const { return state_; }
+
  private:
   friend struct detail::ServerImpl;
   explicit RequestHandle(std::shared_ptr<detail::RequestState> state);

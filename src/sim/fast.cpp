@@ -770,8 +770,8 @@ std::string FastSim::Impl::describe_stall() const {
 /// match_run stream ranks; every cursor bounds the run by what is left of
 /// its row interval; a non-head's upstream FIFO is non-empty (occupancy is
 /// invariant across firing cycles, so one element now means one element on
-/// every cycle of the run); a head's feed is synthetic, or time-invariant
-/// and available for every point of the run. 0 when the next cycle must
+/// every cycle of the run); a head's feed is synthetic or time-invariant
+/// (available for every point by contract). 0 when the next cycle must
 /// take the per-cycle path. Side-effect free.
 std::int64_t FastSim::Impl::burst_length() {
   if (!kernel_cursor.is_valid) return 0;
@@ -796,16 +796,9 @@ std::int64_t FastSim::Impl::burst_length() {
   }
   for (const FastSystem& sys : systems) {
     for (const FastFilter& filter : sys.filters) {
-      if (filter.segment < 0 || sys.synthetic[filter.segment]) continue;
-      ExternalFeed& feed = *sys.feeds[filter.segment];
-      if (!feed.time_invariant()) return 0;
-      lane_point = filter.in.point();
-      for (std::int64_t l = 0; l < run; ++l) {
-        if (!feed.available(lane_point)) {
-          run = l;
-          break;
-        }
-        ++lane_point.back();
+      if (filter.segment >= 0 && !sys.synthetic[filter.segment] &&
+          !sys.feeds[filter.segment]->time_invariant()) {
+        return 0;
       }
     }
   }
@@ -839,12 +832,7 @@ void FastSim::Impl::retire_block(std::int64_t count) {
                 stencil::synthetic_mix(row, first.back() + l));
           }
         } else {
-          ExternalFeed& feed = *sys.feeds[filter.segment];
-          lane_point = first;
-          for (std::int64_t l = 0; l < count; ++l) {
-            block[l] = feed.read(lane_point);
-            ++lane_point.back();
-          }
+          sys.feeds[filter.segment]->read_run(first, count, block);
         }
         filter.in.advance_by(count);
       } else {

@@ -66,9 +66,10 @@ std::shared_ptr<const FastPlan> compile_fast_plan(
 /// every filter of every chain provably fires (each filter's match is
 /// established and runs for R consecutive stream ranks, every cursor has R
 /// points left in its row interval, every upstream FIFO is non-empty, the
-/// feeds are synthetic or time-invariant and available, the cycles are not
-/// traced, the ports are structurally valid). One step() then retires all
-/// R micro-cycles, moving fixed-size blocks through the FIFO rings and
+/// feeds are synthetic or time-invariant, the cycles are not traced, the
+/// ports are structurally valid). One step() then retires all R
+/// micro-cycles, reading each block of a feed with one read_run() call,
+/// moving fixed-size blocks through the FIFO rings and
 /// evaluating the kernel over each block -- with an AVX2 inner loop when
 /// the host supports it and the kernel's weighted-sum structure is known,
 /// bit-identically to the scalar path (verified once per kernel by

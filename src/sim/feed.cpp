@@ -5,6 +5,15 @@
 
 namespace nup::sim {
 
+void ExternalFeed::read_run(const poly::IntVec& first, std::int64_t count,
+                            double* out) {
+  poly::IntVec point = first;
+  for (std::int64_t l = 0; l < count; ++l) {
+    out[l] = read(point);
+    ++point.back();
+  }
+}
+
 double SyntheticFeed::read(const poly::IntVec& h) {
   return stencil::synthetic_value(seed_, array_index_, h);
 }

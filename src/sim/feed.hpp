@@ -28,12 +28,21 @@ class ExternalFeed {
   /// available(h) returned true in the same cycle.
   virtual double read(const poly::IntVec& h) = 0;
 
-  /// True when availability and values do not depend on the cycle the
-  /// queries happen on: available(h) never flips back to false and read(h)
-  /// is pure. The fast backend only retires a firing run in one burst
-  /// when every live feed is time-invariant -- a timed feed (PrefetchFeed)
-  /// or a mid-run producer (QueueFeed) could change state between the
-  /// burst's micro-cycles, which must stay observable.
+  /// Values of the `count` points first, first + e, ..., first +
+  /// (count - 1) e, where e steps the innermost coordinate, into out[0,
+  /// count): a run of one row. Equivalent to read() on each point in
+  /// order; the default does exactly that, and feeds backed by row-major
+  /// storage override it with one contiguous copy.
+  virtual void read_run(const poly::IntVec& first, std::int64_t count,
+                        double* out);
+
+  /// True when the feed is available for every point and read(h) is pure:
+  /// neither depends on the cycle the query happens on, nor on which
+  /// points were read before. The fast backend only retires a firing run
+  /// in one burst when every live feed is time-invariant, and then reads
+  /// the run with read_run() without asking available() -- a timed feed
+  /// (PrefetchFeed) or a mid-run producer (QueueFeed) could change state
+  /// between the burst's micro-cycles, which must stay observable.
   virtual bool time_invariant() const { return false; }
 };
 

@@ -298,6 +298,45 @@ TEST(StencilServer, CancelRunningFrameAfterAdmission) {
   EXPECT_EQ(server.engine().stats().frames_cancelled, 1);
 }
 
+// Served requests must not outlive their handles: the request owns its
+// engine frame, whose completion hook must not own the request back.
+TEST(StencilServer, ResolvedRequestsAreFreedOnceHandlesDrop) {
+  ServeOptions options;
+  options.engine.threads = 2;
+  options.engine.tile_shape = {8, 0};
+  StencilServer server(options);
+  server.add_kernel(stencil::jacobi_2d(24, 32));
+  server.add_kernel(stencil::blur_2d(24, 32));
+
+  constexpr int kRequests = 12;
+  std::vector<std::weak_ptr<const void>> observers;
+  {
+    std::vector<SubmitResult> results;
+    for (int i = 0; i < kRequests; ++i) {
+      results.push_back(server.submit(i % 2 == 0 ? "a" : "b",
+                                      i % 3 == 0 ? "BLUR_3x3" : "JACOBI_2D",
+                                      static_cast<std::uint64_t>(i)));
+      ASSERT_TRUE(results.back().admitted());
+      observers.push_back(results.back().handle.observe());
+    }
+    for (SubmitResult& r : results) EXPECT_TRUE(r.handle.wait().ok());
+  }
+  // wait() returns from inside the completion hook, which may still hold
+  // the request for a moment: give the hooks time to unwind.
+  const auto deadline = std::chrono::steady_clock::now() + milliseconds(5000);
+  const auto live = [&observers] {
+    int n = 0;
+    for (const std::weak_ptr<const void>& o : observers) n += !o.expired();
+    return n;
+  };
+  while (live() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_EQ(live(), 0) << "resolved requests still alive after every "
+                          "handle was dropped";
+  EXPECT_EQ(server.stats().completed, kRequests);
+}
+
 TEST(StencilServer, MidFlightDisconnectLeavesNoPinsAndNoHangs) {
   ServeOptions options;
   options.engine.threads = 2;
