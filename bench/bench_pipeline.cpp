@@ -8,7 +8,7 @@
 //              the moment the producer tiles covering its halo resolve
 //   barrier    the same executor with every consumer tile waiting for
 //              the whole producer frame (the sequential baseline; same
-//              engines, buffers and stitching -- only the dependency
+//              engine, buffers and stitching -- only the dependency
 //              structure differs)
 //   fused      stencil::fuse_chain collapses the chain into one stencil
 //              and a single FrameEngine runs it (no inter-stage traffic,

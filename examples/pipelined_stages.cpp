@@ -4,7 +4,7 @@
 // waiting for the whole upstream frame.
 //
 // The same chain runs twice: once pipelined and once with the
-// frame-barrier baseline (identical engines, buffers and stitching; only
+// frame-barrier baseline (identical engine, buffers and stitching; only
 // the dependency structure differs). Outputs are bit-identical; the
 // timing lines show the sink stage starting long before the first stage
 // finishes.

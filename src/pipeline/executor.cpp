@@ -4,7 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
+#include <set>
 
 #include "obs/trace.hpp"
 #include "pipeline/dependency.hpp"
@@ -36,7 +36,7 @@ namespace detail {
 /// executes it; the engine queue lock orders the two, so no slice is ever
 /// touched concurrently. Several frames coexist (the admission window);
 /// each has its own buffers and countdowns, sharing only the executor's
-/// tracker, engines, and slab pools.
+/// tracker, engine, and slab pools.
 struct FrameCtx {
   std::weak_ptr<PipelineExecutor::Impl> impl;
   std::uint64_t seed = 0;
@@ -85,9 +85,12 @@ struct PipelineExecutor::Impl
   obs::Journal* journal = nullptr;
   std::uint32_t jname = 0;
 
-  std::vector<std::unique_ptr<runtime::FrameEngine>> engines;  // per stage
-  std::vector<std::shared_ptr<const runtime::TilePlan>> plans;
+  std::unique_ptr<runtime::FrameEngine> engine;  ///< runs every stage
+  std::vector<std::shared_ptr<const runtime::TilePlan>> plans;  // per stage
   std::vector<std::size_t> tiles_per_stage;
+  /// Per-stage tile placements (null single-node): StageBuffers route
+  /// slabs through the owning node's pool arena.
+  std::vector<std::shared_ptr<const runtime::PlacementPlan>> placements;
   std::vector<std::shared_ptr<const EdgeTileMap>> maps;  // per edge
   std::vector<std::shared_ptr<const StitchPlan>> stitch_plans;  // per edge
   std::vector<std::string> edge_labels;                  // per edge
@@ -95,15 +98,10 @@ struct PipelineExecutor::Impl
   /// storage retired by frame f is what frame f+1 admits into, which is
   /// what makes the steady-state hot path allocation-free.
   std::vector<std::shared_ptr<SlabPool>> pools;
-  /// Per-edge tile placements of the producer / consumer stage engines
-  /// (null when running single-node): handed to every frame's
-  /// StageBuffers so slabs route through the owning node's pool arena.
-  std::vector<std::shared_ptr<const runtime::PlacementPlan>> edge_prod_place;
-  std::vector<std::shared_ptr<const runtime::PlacementPlan>> edge_cons_place;
   /// Per-stage tile designs, pinned (and kept alive) for the executor's
   /// lifetime and handed to every frame via SubmitOptions::designs:
   /// steady-state frames never recompile or even look up a cache key.
-  /// Unpinned at shutdown so the caches report zero pins afterwards.
+  /// Unpinned at shutdown so the cache reports zero pins afterwards.
   std::vector<
       std::shared_ptr<const std::vector<
           std::shared_ptr<const runtime::CachedDesign>>>>
@@ -160,35 +158,34 @@ struct PipelineExecutor::Impl
     h_overlap = &registry->histogram(pfx + "frame_interleave_overlap_us");
     h_admission = &registry->histogram(pfx + "admission_wait_us");
 
-    std::size_t threads = options.threads_per_stage;
-    if (threads == 0) {
-      const std::size_t hw =
-          std::max(1u, std::thread::hardware_concurrency());
-      threads = std::max<std::size_t>(1, hw / graph.stage_count());
-    }
-    for (std::size_t s = 0; s < graph.stage_count(); ++s) {
-      runtime::EngineOptions eo;
-      eo.name = (options.name.empty() ? std::string() : options.name + ".") +
-                "s" + std::to_string(s);
-      eo.threads = threads;
-      eo.queue_capacity = options.queue_capacity;
-      eo.tile_shape = options.tile_shape;
-      eo.build = options.build;
-      eo.cache_capacity = options.cache_capacity;
-      eo.metrics = registry;
-      eo.journal = journal;
-      eo.sim = options.sim;
-      eo.numa = options.numa;
-      engines.push_back(std::make_unique<runtime::FrameEngine>(eo));
-      plans.push_back(
-          engines.back()->plan_for(graph.stages()[s].program));
+    runtime::EngineOptions eo;
+    eo.name = options.name;
+    eo.threads = options.threads_per_stage * graph.stage_count();  // 0 = hw
+    eo.queue_capacity = options.queue_capacity;
+    eo.tile_shape = options.tile_shape;
+    eo.build = options.build;
+    eo.cache_capacity = options.cache_capacity;
+    eo.metrics = registry;
+    eo.journal = journal;
+    eo.sim = options.sim;
+    eo.numa = options.numa;
+    engine = std::make_unique<runtime::FrameEngine>(std::move(eo));
+    std::set<std::string> names;
+    for (const Stage& stage : graph.stages()) {
+      // Plans register in the engine by program name, so a repeated name
+      // would run one stage's tiles with another stage's kernel.
+      if (!names.insert(stage.program.name()).second) {
+        throw Error("PipelineExecutor: stage name '" + stage.program.name() +
+                    "' is used twice");
+      }
+      plans.push_back(engine->plan_for(stage.program));
       tiles_per_stage.push_back(plans.back()->tiles.size());
+      placements.push_back(engine->placement_for(plans.back()));
       auto designs = std::make_shared<
           std::vector<std::shared_ptr<const runtime::CachedDesign>>>();
       designs->reserve(plans.back()->tiles.size());
       for (const runtime::Tile& tile : plans.back()->tiles) {
-        designs->push_back(
-            engines.back()->cache().pin(*tile.program, options.build));
+        designs->push_back(engine->cache().pin(*tile.program, options.build));
       }
       stage_designs.push_back(std::move(designs));
     }
@@ -210,17 +207,10 @@ struct PipelineExecutor::Impl
           edge.label);
       const std::string epfx = "pipeline.edge." + edge_labels.back() + ".";
       h_ready.push_back(&registry->histogram(epfx + "ready_us"));
-      edge_prod_place.push_back(
-          engines[edge.producer]->placement_for(plans[edge.producer]));
-      edge_cons_place.push_back(
-          engines[edge.consumer]->placement_for(plans[edge.consumer]));
-      // One arena per scheduling node of the edge's engines (both see the
-      // same process topology; 1 with numa off), so slabs recycle through
-      // the arena of the node that first-touched them.
-      const std::size_t arenas =
-          std::max(engines[edge.producer]->topology().node_count(),
-                   engines[edge.consumer]->topology().node_count());
-      auto pool = std::make_shared<SlabPool>(arenas);
+      // One arena per scheduling node (1 with numa off), so slabs recycle
+      // through the arena of the node that first-touched them.
+      auto pool =
+          std::make_shared<SlabPool>(engine->topology().node_count());
       pool->bind_metrics(&registry->counter(epfx + "slab_allocated"),
                          &registry->counter(epfx + "slab_recycled"));
       pool->bind_resident_gauge(&registry->gauge(
@@ -232,7 +222,7 @@ struct PipelineExecutor::Impl
         graph, maps, tiles_per_stage, options.barrier);
   }
 
-  /// Hands one ready tile to its stage engine: stitch its edge-fed input
+  /// Hands one ready tile to the engine: stitch its edge-fed input
   /// slices, then enqueue. Called exactly once per tile by the tracker
   /// (source tiles from submit(), the rest from producer workers); the
   /// released flag only arbitrates against abort().
@@ -260,11 +250,11 @@ struct PipelineExecutor::Impl
                      "{\"stage\":" + std::to_string(stage) +
                          ",\"tile\":" + std::to_string(tile) + "}");
     }
-    // Outside c.mu: this can block on the consumer queue (backpressure).
-    engines[stage]->release_tile(c.handles[stage], tile);
+    // Outside c.mu: a release from the submitting thread can block.
+    engine->release_tile(c.handles[stage], tile);
   }
 
-  /// Tile-resolution hook (runs in the executing stage's worker thread).
+  /// Tile-resolution hook (runs in the executing worker thread).
   /// Every tile of a frame -- executed, failed, or skipped -- comes
   /// through here exactly once, so the trailing countdown is the frame's
   /// completion barrier.
@@ -347,7 +337,7 @@ struct PipelineExecutor::Impl
         for (const std::size_t e : graph.stages()[s].in_edges) {
           c.buffers[e]->release_consumer(t);
         }
-        engines[s]->skip_tile(c.handles[s], t);
+        engine->skip_tile(c.handles[s], t);
       }
     }
   }
@@ -367,13 +357,10 @@ struct PipelineExecutor::Impl
       for (runtime::FrameHandle& h : f->handles) h.wait();
       assemble(*f);
     }
-    // All frames resolved: no callback can still be running, so the
-    // engines can stop in any order.
-    for (std::unique_ptr<runtime::FrameEngine>& engine : engines) {
-      engine->shutdown(runtime::FrameEngine::Drain::kDrainAll);
-    }
+    // All frames resolved: no callback can still be running.
+    engine->shutdown(runtime::FrameEngine::Drain::kDrainAll);
     // Drop the design pins (once): the executor is the only pinner of its
-    // stage caches, so after shutdown every cache reports zero pinned
+    // engine's cache, so after shutdown the cache reports zero pinned
     // entries whatever path -- drain, cancel, or mid-frame abort -- got
     // here. The designs stay alive through stage_designs regardless.
     bool drop = false;
@@ -385,9 +372,9 @@ struct PipelineExecutor::Impl
       }
     }
     if (drop) {
-      for (std::size_t s = 0; s < plans.size(); ++s) {
-        for (const runtime::Tile& tile : plans[s]->tiles) {
-          engines[s]->cache().unpin(*tile.program, options.build);
+      for (const std::shared_ptr<const runtime::TilePlan>& plan : plans) {
+        for (const runtime::Tile& tile : plan->tiles) {
+          engine->cache().unpin(*tile.program, options.build);
         }
       }
     }
@@ -511,12 +498,7 @@ PipelineExecutor::~PipelineExecutor() {
 
 const StageGraph& PipelineExecutor::graph() const { return impl_->graph; }
 
-runtime::FrameEngine& PipelineExecutor::engine(std::size_t stage) {
-  if (stage >= impl_->engines.size()) {
-    throw Error("PipelineExecutor::engine: stage out of range");
-  }
-  return *impl_->engines[stage];
-}
+runtime::FrameEngine& PipelineExecutor::engine() { return *impl_->engine; }
 
 PipelineHandle PipelineExecutor::submit(std::uint64_t seed) {
   return submit(seed, FrameOptions{});
@@ -601,7 +583,8 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
     ctx->buffers.push_back(std::make_unique<StageBuffer>(
         im.plans[edge.producer], im.plans[edge.consumer], im.maps[e],
         edge.input, *im.registry, im.edge_labels[e], im.pools[e],
-        im.stitch_plans[e], im.edge_prod_place[e], im.edge_cons_place[e]));
+        im.stitch_plans[e], im.placements[edge.producer],
+        im.placements[edge.consumer]));
   }
   ctx->slices.resize(stages);
   ctx->released.resize(stages);
@@ -713,7 +696,7 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
       }
     };
     ctx->handles.push_back(
-        im.engines[s]->submit(im.plans[s], seed, std::move(so)));
+        im.engine->submit(im.plans[s], seed, std::move(so)));
   }
 
   for (const DependencyTracker::Ready r : im.tracker->arm(ctx->frame_id)) {

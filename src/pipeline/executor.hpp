@@ -23,31 +23,31 @@ struct FrameCtx;
 }
 
 struct PipelineOptions {
-  /// Instance label: stage engines publish as engine.<name>.s<k>.*, edge
-  /// buffers as pipeline.edge.<name>.<label>.*. Empty uses engine.s<k>.*
-  /// and pipeline.edge.<label>.* (one anonymous pipeline per process).
+  /// Instance label of the engine (engine.<name>.*, cache.<name>.*) and
+  /// edge buffers (pipeline.edge.<name>.<label>.*). Empty uses engine.*,
+  /// cache.* and pipeline.edge.<label>.* (one anonymous pipeline).
   std::string name;
 
-  /// Worker threads per stage engine; 0 divides the hardware threads
-  /// evenly over the stages (at least 1 each).
+  /// The one shared pool has threads_per_stage x stage count workers, any
+  /// of which runs any stage's tiles; 0 uses the hardware threads.
   std::size_t threads_per_stage = 0;
 
-  /// Tile queue bound of each stage engine: the cross-stage backpressure
-  /// window. An upstream worker releasing into a full consumer queue
-  /// blocks until the consumer drains.
+  /// Tile queue bound of the engine. It bounds only source-tile admission
+  /// (the submitting thread blocks while the queue is full); consumer
+  /// tiles released by workers never wait for it and run first.
   std::size_t queue_capacity = 16;
 
   poly::IntVec tile_shape;       ///< per-stage tiler shape (empty = auto)
   arch::BuildOptions build;      ///< microarchitecture generation options
-  std::size_t cache_capacity = 256;  ///< per-stage design cache capacity
+  std::size_t cache_capacity = 256;  ///< design cache capacity (all stages)
   obs::Registry* metrics = nullptr;  ///< nullptr = obs::Registry::global()
-  /// Flight recorder the pipeline (and its stage engines, edge slab
-  /// pools) journals into; nullptr = obs::Journal::global().
+  /// Flight recorder the pipeline (and its engine, edge slab pools)
+  /// journals into; nullptr = obs::Journal::global().
   obs::Journal* journal = nullptr;
   sim::SimOptions sim;
 
   /// Frame-barrier baseline: every consumer tile waits for the producer
-  /// frame to finish. Same engines, buffers, and stitching -- only the
+  /// frame to finish. Same engine, buffers, and stitching -- only the
   /// dependency structure changes -- so benchmarks compare scheduling
   /// policies, not implementations.
   bool barrier = false;
@@ -61,7 +61,7 @@ struct PipelineOptions {
   /// admitted immediately -- unbounded buffer occupancy, use with care).
   std::size_t max_frames_in_flight = 4;
 
-  /// Locality policy handed to every stage engine (see
+  /// Locality policy handed to the pipeline's engine (see
   /// runtime::EngineOptions::numa). When on, each edge's SlabPool is
   /// split into per-node arenas and StageBuffers route slabs through the
   /// producer tile's arena, so inter-stage storage recycles node-locally.
@@ -142,19 +142,21 @@ class PipelineHandle {
   std::shared_ptr<detail::FrameCtx> ctx_;
 };
 
-/// Tile-granular dataflow scheduler over a StageGraph: one FrameEngine per
-/// stage (its tile designs pinned in the stage's cache), one deferred
-/// frame per stage per submitted seed, and a DependencyTracker releasing
-/// each consumer tile the moment the producer tiles covering its halo have
-/// resolved. Stage k+1 starts consuming while stage k is still producing;
-/// inter-stage data moves through bounded StageBuffers that retire
-/// producer tiles as soon as their last consumer is served.
+/// Tile-granular dataflow scheduler over a StageGraph: one FrameEngine
+/// whose worker pool runs every stage's tiles (all stages' tile designs
+/// pinned in its cache), one deferred frame per stage per submitted seed,
+/// and a DependencyTracker releasing each consumer tile the moment the
+/// producer tiles covering its halo have resolved. Stage k+1 starts
+/// consuming while stage k is still producing; inter-stage data moves
+/// through bounded StageBuffers that retire producer tiles as soon as
+/// their last consumer is served. Stage names must be distinct (plans
+/// register in the engine by program name); construction throws otherwise.
 ///
-/// Successive frames pipeline across the same engines: frames are
+/// Successive frames pipeline across the same engine: frames are
 /// data-independent, so while frame f's sink tiles drain, frame f+1's
 /// source tiles already run in whatever workers go idle, up to
 /// max_frames_in_flight frames at once (the admission window -- submit()
-/// blocks while it is full). Steady state re-arms live engines over the
+/// blocks while it is full). Steady state re-arms the live engine over the
 /// plans and pinned designs resolved at construction and recycles all
 /// inter-stage slab storage through per-edge SlabPools, so pumping frames
 /// performs no per-tile heap allocation and no design-cache lookups.
@@ -198,8 +200,8 @@ class PipelineExecutor {
 
   const StageGraph& graph() const;
 
-  /// The per-stage engine (for stats; stage id = graph stage id).
-  runtime::FrameEngine& engine(std::size_t stage);
+  /// The pipeline's one engine, shared by every stage.
+  runtime::FrameEngine& engine();
 
   void shutdown(Drain mode = Drain::kDrainAll);
 

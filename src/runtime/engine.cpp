@@ -213,6 +213,9 @@ std::vector<std::size_t> worker_nodes(std::size_t threads,
   return out;
 }
 
+/// Engine whose worker loop runs on this thread (null on other threads).
+thread_local const void* tls_worker_of = nullptr;
+
 }  // namespace
 
 struct FrameEngine::Impl {
@@ -656,6 +659,7 @@ struct FrameEngine::Impl {
         (options.name.empty() ? std::string() : options.name + ".") +
         "worker-" + std::to_string(worker));
     if (options.numa != NumaMode::kOff) pin_to_cpus(topo.node(node).cpus);
+    tls_worker_of = this;
     obs::Counter& busy_us = registry->counter(
         prefix + "worker." + std::to_string(worker) + ".busy_us");
     obs::Counter& worker_tiles = registry->counter(
@@ -706,19 +710,22 @@ struct FrameEngine::Impl {
     }
   }
 
-  /// Enqueues one tile on its placed node's queue, blocking while that
-  /// queue is full (backpressure). Returns false when shutdown raced the
-  /// push. Observes the backpressure wait and notifies a worker.
-  bool push_job(Job job, std::size_t node) {
+  /// Enqueues one tile on its placed node's queue: at the back, blocking
+  /// while that queue is full (backpressure), or `from_worker` at the
+  /// front without waiting (see release_tile). Returns false when shutdown
+  /// raced the push. Observes the backpressure wait and notifies a worker.
+  bool push_job(Job job, std::size_t node, bool from_worker = false) {
     std::size_t depth = 0;
     const auto w0 = std::chrono::steady_clock::now();
     {
       std::unique_lock<std::mutex> lock(qmu);
       not_full.wait(lock, [&] {
-        return queues[node].size() < options.queue_capacity || !accepting;
+        return from_worker ||
+               queues[node].size() < options.queue_capacity || !accepting;
       });
       if (!accepting) return false;
-      queues[node].push_back(std::move(job));
+      std::deque<Job>& queue = queues[node];
+      queue.insert(from_worker ? queue.begin() : queue.end(), std::move(job));
       const std::size_t total = total_depth_locked();
       max_queue_depth = std::max(max_queue_depth, total);
       depth = total;
@@ -889,8 +896,8 @@ void FrameEngine::release_tile(const FrameHandle& frame,
                 std::to_string(tile_idx) + " out of range");
   }
 
-  if (im.push_job(Job{frame.state_, tile_idx},
-                  im.node_of(state, tile_idx))) {
+  if (im.push_job(Job{frame.state_, tile_idx}, im.node_of(state, tile_idx),
+                  /*from_worker=*/tls_worker_of == &im)) {
     return;
   }
 

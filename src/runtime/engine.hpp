@@ -30,7 +30,7 @@ struct EngineOptions {
   /// Instance label. Empty keeps the historical flat metric names
   /// (engine.queue_depth, cache.hits, ...); non-empty namespaces them as
   /// engine.<name>.* / cache.<name>.* so several engines in one process
-  /// (a pipeline of per-stage engines) publish distinct series instead of
+  /// (one per pipeline, say) publish distinct series instead of
   /// aggregating into one.
   std::string name;
 
@@ -102,9 +102,8 @@ struct SubmitOptions {
   /// tile was skipped / failed (ok == false). `outputs` points at the
   /// frame's full output vector; only this tile's output_ranks entries are
   /// safe to read (other tiles may still be written concurrently). It is
-  /// nullptr for skipped tiles. The hook may block (e.g. releasing a
-  /// downstream tile against a full queue): it runs before the tile is
-  /// counted done, so the frame resolves only after every hook returned.
+  /// nullptr for skipped tiles. It runs before the tile is counted done,
+  /// so the frame resolves only after every hook returned.
   std::function<void(std::size_t tile_idx, const double* outputs, bool ok)>
       on_tile;
 
@@ -252,20 +251,21 @@ class FrameEngine {
                      std::uint64_t seed, SubmitOptions options = {});
 
   /// Hands one tile of a deferred frame to the workers (see
-  /// SubmitOptions::deferred). Blocks while the tile queue is full
-  /// (cross-stage backpressure when called from an upstream engine's
-  /// worker). After shutdown the tile resolves as skipped instead of
-  /// enqueuing, so a deferred frame still terminates. Releasing the same
-  /// tile twice is the caller's bug; the engine does not dedupe.
+  /// SubmitOptions::deferred). A call from one of this engine's workers
+  /// (an on_tile hook readying a dependent tile) goes to the front of the
+  /// queue and never waits: a worker waiting on the queue it drains can
+  /// deadlock the pool. Other calls join the back, blocking while the
+  /// queue is full. After shutdown the tile resolves as skipped, so a
+  /// deferred frame still terminates. Releasing the same tile twice is
+  /// the caller's bug; the engine does not dedupe.
   void release_tile(const FrameHandle& frame, std::size_t tile_idx);
 
   /// Resolves one tile of a deferred frame as skipped without touching the
-  /// queue. Never blocks -- the cancellation path of a pipeline abort uses
-  /// it from worker threads, where blocking on a full queue of the same
-  /// engine would self-deadlock. Marks the frame cancelled.
+  /// queue. Never blocks; the cancellation path of a pipeline abort uses
+  /// it from any thread. Marks the frame cancelled.
   void skip_tile(const FrameHandle& frame, std::size_t tile_idx);
 
-  /// The embedded design cache (for pinning a pipeline stage's designs).
+  /// The embedded design cache (for pinning a pipeline's stage designs).
   DesignCache& cache();
 
   /// Tile plan the engine uses for this program (registering it if new).

@@ -289,10 +289,7 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
 std::size_t TemporalRunner::pinned_designs() const {
   std::size_t pinned = 0;
   for (const auto& executor : executors_) {
-    for (std::size_t s = 0; s < executor->graph().stage_count(); ++s) {
-      pinned += static_cast<std::size_t>(
-          executor->engine(s).stats().cache.pinned);
-    }
+    pinned += executor->engine().stats().cache.pinned;
   }
   return pinned;
 }

@@ -17,8 +17,8 @@ namespace nup::temporal {
 struct RunnerOptions {
   /// Options of the underlying pipeline executors (threads, tile shape,
   /// build options including datapath_width, metrics registry, admission
-  /// window). The runner derives one executor per distinct pass shape; a
-  /// non-empty name namespaces their metrics per shape. kWrap overrides
+  /// window). The runner derives one executor (one worker pool) per
+  /// distinct pass shape; a non-empty name namespaces them. kWrap overrides
   /// the tile shape to whole-frame tiles (a wrapped read reaches the
   /// opposite edge of the grid, so the stitched slice must span it).
   pipeline::PipelineOptions pipeline;
@@ -56,7 +56,7 @@ struct FrameOutcome {
 
 /// Drives a temporal-blocking schedule end to end: plans the replica
 /// chains (plan_temporal), builds one PipelineExecutor per distinct pass
-/// shape -- each stage engine sizes its replica's reuse FIFOs
+/// shape -- one worker pool for all replicas, each sizing its reuse FIFOs
 /// non-uniformly via the arch builder, honoring datapath_width -- and
 /// pumps ceil(T/B) passes per frame through them, chaining pass p+1's
 /// external input to pass p's sink output via FrameOptions. Multiple
@@ -91,9 +91,9 @@ class TemporalRunner {
   /// Number of executors (one per distinct pass shape).
   std::size_t executor_count() const { return executors_.size(); }
 
-  /// Sum of per-tile designs pinned across every stage engine of every
-  /// executor: the non-uniformly partitioned replica microarchitectures
-  /// resident for steady-state serving.
+  /// Sum of distinct tile designs pinned in every executor's design cache:
+  /// the non-uniformly partitioned replica microarchitectures resident for
+  /// steady-state serving.
   std::size_t pinned_designs() const;
 
   /// Stops all executors (draining in-flight work). Idempotent; run()

@@ -604,10 +604,60 @@ TEST(FrameEngine, OnFrameHookFiresForCancelledFrames) {
   queued.cancel();  // the single worker is still busy with frame 1
   running.wait();
   ASSERT_TRUE(queued.wait().cancelled);
+  // The hook runs after waiters are released; joining the worker makes
+  // sure it has returned before the count is read.
+  engine.shutdown();
   // A cancelled frame resolves through the same hook: the serving layer
   // frees its window slot no matter how the frame died.
   EXPECT_EQ(calls.load(), 1);
   EXPECT_TRUE(saw_cancelled.load());
+}
+
+TEST(FrameEngine, WorkerReleaseJumpsTheQueueWithoutBlocking) {
+  // One worker and a queue bound of one. While the worker runs frame S,
+  // the caller fills the queue with frame Q; S's tile hook then releases
+  // a deferred tile D from the worker thread. That release must not wait
+  // for space (the only worker would wait on itself) and must not queue
+  // behind Q: a worker's releases run first.
+  EngineOptions options;
+  options.threads = 1;
+  options.queue_capacity = 1;
+  options.tile_shape = {0, 0};  // one tile per frame
+  FrameEngine engine(options);
+  const stencil::StencilProgram p = slow_program(6, 6, milliseconds(0));
+
+  std::mutex mu;
+  std::string order;
+  const auto record = [&mu, &order](char tag) {
+    std::lock_guard<std::mutex> lock(mu);
+    order += tag;
+  };
+  SubmitOptions dep;
+  dep.deferred = true;
+  dep.on_tile = [&record](std::size_t, const double*, bool) { record('D'); };
+  FrameHandle deferred = engine.submit(p, 1, std::move(dep));
+
+  std::atomic<bool> queue_full{false};
+  SubmitOptions src;
+  src.on_tile = [&](std::size_t, const double*, bool) {
+    record('S');
+    while (!queue_full.load()) std::this_thread::yield();
+    engine.release_tile(deferred, 0);
+  };
+  FrameHandle source = engine.submit(p, 2, std::move(src));
+  SubmitOptions last;
+  last.on_tile = [&record](std::size_t, const double*, bool) { record('Q'); };
+  FrameHandle queued = engine.submit(p, 3, std::move(last));
+  queue_full = true;  // Q sits in the queue: S's tile is executing
+
+  ASSERT_TRUE(deferred.wait_for(milliseconds(10000)))
+      << "the worker's release waited on its own queue";
+  ASSERT_TRUE(queued.wait_for(milliseconds(10000)));
+  expect_frame_matches_golden(p, source.wait());
+  expect_frame_matches_golden(p, deferred.wait());
+  expect_frame_matches_golden(p, queued.wait());
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(order, "SDQ");
 }
 
 TEST(FrameEngine, WaitForTimesOutWhileBusyThenResolves) {

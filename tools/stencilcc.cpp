@@ -48,7 +48,8 @@
 //                  tile-granular producer-consumer overlap (stage k+1
 //                  starts on a tile as soon as the producer tiles
 //                  covering its halo resolve). --serve/--threads/--tile
-//                  set the frame count, per-stage workers and tile shape;
+//                  set the frame count, workers per stage (one shared
+//                  pool of threads x stages) and tile shape;
 //                  --barrier switches to the frame-barrier baseline
 //   --barrier      with --pipeline: wait for whole producer frames
 //                  instead of halo-covering tiles (scheduling baseline)
@@ -57,7 +58,7 @@
 //   --inflight <K> with --pipeline: cross-frame admission window --
 //                  at most K frames in flight at once (1 = frame-serial,
 //                  0 = unbounded; default 4). Successive frames interleave
-//                  tiles on the same stage engines, recycling buffer
+//                  tiles on the same worker pool, recycling buffer
 //                  slabs, so steady state allocates nothing per tile
 //   --timesteps <T>
 //                  temporal mode: treat the kernel as one step of an
@@ -167,7 +168,8 @@ void usage() {
       "                  subsystem (see docs/SERVING.md) and print\n"
       "                  throughput / shed / cache statistics\n"
       "  --frames <N>    alias of --serve for the staged modes\n"
-      "  --threads <T>   worker threads (per stage in the staged modes;\n"
+      "  --threads <T>   worker threads (per stage in the staged modes,\n"
+      "                  which share one pool of T x stages workers;\n"
       "                  default: hardware concurrency)\n"
       "  --tile <a,b,..> tile extents per dimension (0 = full extent;\n"
       "                  default: automatic shape)\n"
@@ -529,7 +531,7 @@ int run_pipeline(const std::string& spec_path, const std::string& name,
                 frames, seconds, frames / seconds);
     for (std::size_t s = 0; s < last.stages.size(); ++s) {
       const auto plan =
-          executor.engine(s).plan_for(executor.graph().stages()[s].program);
+          executor.engine().plan_for(executor.graph().stages()[s].program);
       std::printf("  stage %s: %zu tiles, first/last tile %+lld/%+lld us%s\n",
                   executor.graph().stages()[s].program.name().c_str(),
                   plan->tiles.size(),
