@@ -13,44 +13,18 @@ namespace nup::obs {
 
 namespace {
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
 }
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 constexpr std::uint8_t kMaxKind =
-    static_cast<std::uint8_t>(JournalKind::kDeadlock);
+    static_cast<std::uint8_t>(JournalKind::kTraceFlowEnd);
 
 }  // namespace
+
+using detail::append_json_string;
 
 const char* to_string(JournalKind kind) {
   switch (kind) {
@@ -68,6 +42,14 @@ const char* to_string(JournalKind kind) {
     case JournalKind::kFifoHighWater: return "fifo.high_water";
     case JournalKind::kDepthViolation: return "fifo.depth_violation";
     case JournalKind::kDeadlock: return "deadlock";
+    case JournalKind::kTraceSpan: return "trace.span";
+    case JournalKind::kTraceInstant: return "trace.instant";
+    case JournalKind::kTraceCounter: return "trace.counter";
+    case JournalKind::kTraceAsyncBegin: return "trace.async_begin";
+    case JournalKind::kTraceAsyncEnd: return "trace.async_end";
+    case JournalKind::kTraceFlowStart: return "trace.flow_start";
+    case JournalKind::kTraceFlowStep: return "trace.flow_step";
+    case JournalKind::kTraceFlowEnd: return "trace.flow_end";
   }
   return "unknown";
 }
@@ -88,6 +70,17 @@ struct Journal::ThreadRing {
   std::unique_ptr<JournalSlot[]> slots;
   std::uint64_t head = 0;  ///< owner-thread only
   std::atomic<std::uint64_t> written{0};
+  std::atomic<std::uint32_t> name_id{0};  ///< set_thread_name
+};
+
+/// The calling thread's state in one journal. `ring` stays null until the
+/// first record() (and for good once the ring budget is exhausted). It is
+/// owned by the journal, so a destroyed journal's rings are freed even
+/// while the thread that wrote them lives on.
+struct Journal::ThreadState {
+  ThreadRing* ring = nullptr;
+  bool ring_claimed = false;
+  std::uint32_t name_id = 0;
 };
 
 struct Journal::Impl {
@@ -100,7 +93,11 @@ struct Journal::Impl {
   mutable std::mutex mu;  ///< rings list, intern table, post-mortem dir
   std::vector<std::shared_ptr<ThreadRing>> rings;
   std::vector<std::string> names{std::string()};  ///< id 0 = anonymous
-  std::unordered_map<std::string, std::uint32_t> name_ids;
+  struct NameHash : std::hash<std::string_view> {
+    using is_transparent = void;
+  };
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      name_ids;
   std::string dir;
 };
 
@@ -113,6 +110,20 @@ std::uint64_t next_frame_id() {
   return g_next_frame_id.fetch_add(1, std::memory_order_relaxed);
 }
 
+Journal::ThreadState& Journal::thread_state() const {
+  // Keyed by journal instance id so tests can hold several journals at
+  // once. The last journal used is remembered, so a thread recording into
+  // one journal skips the hash lookup (map nodes never move).
+  thread_local std::unordered_map<std::uint64_t, ThreadState> states;
+  thread_local std::uint64_t last_id = 0;
+  thread_local ThreadState* last = nullptr;
+  if (last_id != impl_->id) {
+    last = &states[impl_->id];
+    last_id = impl_->id;
+  }
+  return *last;
+}
+
 Journal::Journal(std::size_t ring_capacity) : impl_(std::make_unique<Impl>()) {
   impl_->id = g_next_journal_id.fetch_add(1, std::memory_order_relaxed);
   impl_->cap = round_up_pow2(std::max<std::size_t>(ring_capacity, 8));
@@ -123,7 +134,7 @@ Journal::~Journal() = default;
 std::uint32_t Journal::intern(std::string_view name) {
   if (name.empty()) return 0;
   std::lock_guard<std::mutex> lock(impl_->mu);
-  const auto it = impl_->name_ids.find(std::string(name));
+  const auto it = impl_->name_ids.find(name);
   if (it != impl_->name_ids.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(impl_->names.size());
   impl_->names.emplace_back(name);
@@ -131,35 +142,36 @@ std::uint32_t Journal::intern(std::string_view name) {
   return id;
 }
 
+std::int64_t Journal::now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 void Journal::record(JournalKind kind, std::uint64_t frame, std::int32_t stage,
                      std::int64_t tile, std::int64_t a, std::int64_t b,
-                     std::uint32_t name_id) noexcept {
+                     std::uint32_t name_id, std::int64_t ts_ns) noexcept {
 #ifdef NUP_OBS_DISABLE
   (void)kind, (void)frame, (void)stage, (void)tile;
-  (void)a, (void)b, (void)name_id;
+  (void)a, (void)b, (void)name_id, (void)ts_ns;
 #else
-  // Per-thread ring lookup, keyed by journal instance id so tests can hold
-  // several journals at once. A null entry means this thread arrived after
-  // the ring budget was exhausted: its events are counted as dropped.
-  thread_local std::unordered_map<std::uint64_t, std::shared_ptr<ThreadRing>>
-      t_rings;
   Impl& im = *impl_;
   if (!im.enabled.load(std::memory_order_relaxed)) return;
 
-  auto it = t_rings.find(im.id);
-  if (it == t_rings.end()) {
-    std::shared_ptr<ThreadRing> ring;
-    {
-      std::lock_guard<std::mutex> lock(im.mu);
-      if (im.rings.size() < kMaxThreadRings) {
-        ring = std::make_shared<ThreadRing>(
-            im.cap, static_cast<std::uint32_t>(im.rings.size()));
-        im.rings.push_back(ring);
-      }
+  // A thread that arrives after the ring budget is exhausted gets no ring:
+  // its events are counted as dropped.
+  ThreadState& state = thread_state();
+  if (!state.ring_claimed) {
+    state.ring_claimed = true;
+    std::lock_guard<std::mutex> lock(im.mu);
+    if (im.rings.size() < kMaxThreadRings) {
+      im.rings.push_back(std::make_shared<ThreadRing>(
+          im.cap, static_cast<std::uint32_t>(im.rings.size())));
+      state.ring = im.rings.back().get();
+      state.ring->name_id.store(state.name_id, std::memory_order_relaxed);
     }
-    it = t_rings.emplace(im.id, std::move(ring)).first;
   }
-  ThreadRing* ring = it->second.get();
+  ThreadRing* ring = state.ring;
   if (ring == nullptr) {
     im.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -171,7 +183,7 @@ void Journal::record(JournalKind kind, std::uint64_t frame, std::int32_t stage,
   const std::uint64_t seq0 = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq0 + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  slot.w[0].store(static_cast<std::uint64_t>(now_ns()),
+  slot.w[0].store(static_cast<std::uint64_t>(ts_ns != 0 ? ts_ns : now_ns()),
                   std::memory_order_relaxed);
   slot.w[1].store(frame, std::memory_order_relaxed);
   slot.w[2].store(static_cast<std::uint64_t>(static_cast<std::uint8_t>(kind)) |
@@ -235,6 +247,29 @@ std::vector<JournalRecord> Journal::snapshot(std::size_t last_n) const {
             });
   if (last_n > 0 && out.size() > last_n) {
     out.erase(out.begin(), out.end() - static_cast<std::ptrdiff_t>(last_n));
+  }
+  return out;
+}
+
+void Journal::set_thread_name(std::string_view name) {
+  const std::uint32_t id = intern(name);
+  ThreadState& state = thread_state();
+  state.name_id = id;
+  if (state.ring) state.ring->name_id.store(id, std::memory_order_relaxed);
+}
+
+std::vector<std::string> Journal::names() const {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->names;
+}
+
+std::vector<std::string> Journal::thread_names() const {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  std::vector<std::string> out;
+  out.reserve(impl_->rings.size());
+  for (const auto& ring : impl_->rings) {
+    out.push_back(
+        impl_->names[ring->name_id.load(std::memory_order_relaxed)]);
   }
   return out;
 }

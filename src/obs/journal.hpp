@@ -42,6 +42,17 @@ enum class JournalKind : std::uint8_t {
   kFifoHighWater,    ///< a = high water, b = designed depth
   kDepthViolation,   ///< a = high water, b = designed (Eq. 2) depth
   kDeadlock,         ///< simulator returned a deadlock verdict
+  // Trace events (obs::Tracer), one per Chrome phase. name = event name;
+  // b = category id | "program" arg id << 32; stage and tile are the
+  // "stage"/"tile" args when >= 0.
+  kTraceSpan,        ///< 'X': ts = start, a = duration ns
+  kTraceInstant,     ///< 'i'
+  kTraceCounter,     ///< 'C': a = value
+  kTraceAsyncBegin,  ///< 'b': frame = lane id, a = seed
+  kTraceAsyncEnd,    ///< 'e': frame = lane id
+  kTraceFlowStart,   ///< 's': frame = flow id
+  kTraceFlowStep,    ///< 't': frame = flow id
+  kTraceFlowEnd,     ///< 'f': frame = flow id
 };
 
 const char* to_string(JournalKind kind);
@@ -49,7 +60,7 @@ const char* to_string(JournalKind kind);
 /// One decoded event. `name` resolves the writer's interned name id
 /// (engine / pipeline / edge instance); empty when the writer passed 0.
 struct JournalRecord {
-  std::int64_t ts_ns = 0;  ///< steady-clock nanoseconds (same base as Tracer)
+  std::int64_t ts_ns = 0;  ///< Journal::now_ns() (the Tracer's base too)
   JournalKind kind = JournalKind::kNone;
   std::uint32_t thread = 0;  ///< recording thread (registration order)
   std::uint64_t frame = 0;   ///< causal frame id (obs::next_frame_id)
@@ -100,10 +111,25 @@ class Journal {
 
   /// Records one event into the calling thread's ring. Lock-free after the
   /// thread's first call; wait-free against readers. No-op when disabled
-  /// at run time or compiled out.
+  /// at run time or compiled out. A non-zero `ts_ns` (an earlier now_ns()
+  /// reading) stamps the event instead of the time of the call: a span is
+  /// recorded at its end but stamped with its start.
   void record(JournalKind kind, std::uint64_t frame, std::int32_t stage = -1,
               std::int64_t tile = -1, std::int64_t a = 0, std::int64_t b = 0,
-              std::uint32_t name_id = 0) noexcept;
+              std::uint32_t name_id = 0, std::int64_t ts_ns = 0) noexcept;
+
+  /// Names the calling thread's ring (its own, or the one its first
+  /// record() allocates later). Allocates no ring.
+  void set_thread_name(std::string_view name);
+
+  /// Interned names by id, and each ring's thread name by
+  /// JournalRecord::thread ("" when unnamed). Ids and rings only grow, so
+  /// tables read after a snapshot() resolve every record in it.
+  std::vector<std::string> names() const;
+  std::vector<std::string> thread_names() const;
+
+  /// The steady-clock reading every event is stamped with, in ns.
+  static std::int64_t now_ns();
 
   /// Merges every thread's ring into one time-ordered log. last_n == 0
   /// returns everything still buffered; otherwise the newest last_n.
@@ -150,7 +176,9 @@ class Journal {
 
  private:
   struct ThreadRing;
+  struct ThreadState;
   struct Impl;
+  ThreadState& thread_state() const;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -20,28 +20,29 @@ std::size_t shard_index() noexcept {
   return idx % Counter::kShards;
 }
 
-void append_json_string(std::ostringstream& out, std::string_view s) {
-  out << '"';
+}  // namespace
+
+void detail::append_json_string(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
+          out += buf;
         } else {
-          out << c;
+          out += c;
         }
     }
   }
-  out << '"';
+  out += '"';
 }
-
-}  // namespace
 
 // ---- Counter -----------------------------------------------------------
 
@@ -307,8 +308,9 @@ std::string MetricsSnapshot::to_json() const {
       if (s.kind != kind) continue;
       if (!first) out << ',';
       first = false;
-      append_json_string(out, s.name);
-      out << ':';
+      std::string name;
+      detail::append_json_string(name, s.name);
+      out << name << ':';
       if (kind == MetricSample::Kind::kHistogram) {
         const Histogram::Snapshot& h = s.hist;
         out << "{\"count\":" << h.count << ",\"sum\":" << h.sum

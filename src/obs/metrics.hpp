@@ -151,4 +151,9 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
+namespace detail {
+/// Appends `s` as a quoted JSON string.
+void append_json_string(std::string& out, std::string_view s);
+}  // namespace detail
+
 }  // namespace nup::obs

@@ -1,287 +1,184 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <sstream>
-#include <unordered_map>
+
+#include "obs/metrics.hpp"
 
 namespace nup::obs {
 
 namespace {
 
-std::uint64_t next_tracer_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+using detail::append_json_string;
+
+/// Chrome phase of a trace kind (the kTrace* kinds in declaration order),
+/// 0 for the flight recorder's own kinds.
+char phase(JournalKind kind) {
+  constexpr char kPhases[] = "XiCbestf";
+  const int k = static_cast<int>(kind) -
+                static_cast<int>(JournalKind::kTraceSpan);
+  return k >= 0 && k < 8 ? kPhases[k] : 0;
 }
 
-void append_json_string(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
+/// Async and flow events pair up by an id, carried in the frame word.
+bool has_id(char ph) {
+  return ph == 'b' || ph == 'e' || ph == 's' || ph == 't' || ph == 'f';
 }
 
 /// Chrome trace timestamps are microseconds; keep ns resolution as a
 /// fraction.
-void append_us(std::ostringstream& out, std::int64_t ns) {
+void append_us(std::string& out, std::int64_t ns) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%lld.%03lld",
                 static_cast<long long>(ns / 1000),
                 static_cast<long long>(ns % 1000));
-  out << buf;
+  out += buf;
+}
+
+const std::string& name_of(const std::vector<std::string>& names,
+                           std::uint64_t id) {
+  return id < names.size() ? names[id] : names[0];
 }
 
 }  // namespace
 
-Tracer::Tracer()
-    : id_(next_tracer_id()), epoch_(std::chrono::steady_clock::now()) {}
-
-Tracer::~Tracer() = default;
+Tracer::Tracer() : journal_(kRingCapacity), epoch_ns_(Journal::now_ns()) {}
 
 Tracer& Tracer::global() {
   static Tracer* tracer = new Tracer();  // immortal
   return *tracer;
 }
 
-std::int64_t Tracer::now_ns() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
+TraceName Tracer::intern(std::string_view name, std::string_view cat) {
+  return TraceName{journal_.intern(name), journal_.intern(cat)};
 }
 
-Tracer::ThreadBuffer& Tracer::local_buffer() {
-  // Keyed by tracer id (not address): ids are never reused, so a stale
-  // entry for a destroyed tracer can never alias a new one.
-  thread_local std::unordered_map<std::uint64_t,
-                                  std::shared_ptr<ThreadBuffer>>
-      buffers;
-  std::shared_ptr<ThreadBuffer>& slot = buffers[id_];
-  if (!slot) {
-    slot = std::make_shared<ThreadBuffer>();
-    slot->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers_.push_back(slot);
-  }
-  return *slot;
+std::uint32_t Tracer::intern(std::string_view program) {
+  return journal_.intern(program);
 }
 
-void Tracer::record(Event event) {
-#ifndef NUP_OBS_DISABLE
-  ThreadBuffer& buffer = local_buffer();
-  std::lock_guard<std::mutex> lock(buffer.mu);
-  buffer.events.push_back(std::move(event));
-#else
-  (void)event;
-#endif
+void Tracer::record(JournalKind kind, std::int64_t ts_ns, TraceName name,
+                    std::uint64_t id, std::int64_t value,
+                    const TraceArgs& args) noexcept {
+  const auto b = static_cast<std::int64_t>(
+      name.cat | static_cast<std::uint64_t>(args.program) << 32);
+  journal_.record(kind, id, args.stage, args.tile, value, b, name.name,
+                  ts_ns);
 }
 
-void Tracer::complete(std::string name, std::string cat,
-                      std::int64_t start_ns, std::int64_t end_ns,
-                      std::string args_json) {
+void Tracer::complete(TraceName name, std::int64_t start_ns,
+                      std::int64_t end_ns, const TraceArgs& args) {
   if (!enabled()) return;
-  Event e;
-  e.ph = 'X';
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.args = std::move(args_json);
-  e.ts_ns = start_ns;
-  e.dur_ns = end_ns > start_ns ? end_ns - start_ns : 0;
-  record(std::move(e));
+  record(JournalKind::kTraceSpan, epoch_ns_ + start_ns, name, 0,
+         end_ns > start_ns ? end_ns - start_ns : 0, args);
 }
 
-void Tracer::instant(std::string name, std::string cat,
-                     std::string args_json) {
-  if (!enabled()) return;
-  Event e;
-  e.ph = 'i';
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.args = std::move(args_json);
-  e.ts_ns = now_ns();
-  record(std::move(e));
-}
-
-void Tracer::counter(std::string name, std::int64_t value) {
-  if (!enabled()) return;
-  Event e;
-  e.ph = 'C';
-  e.name = std::move(name);
-  e.cat = "counter";
-  e.ts_ns = now_ns();
-  e.value = value;
-  record(std::move(e));
-}
-
-void Tracer::async_begin(std::string name, std::string cat, std::uint64_t id,
-                         std::string args_json) {
-  if (!enabled()) return;
-  Event e;
-  e.ph = 'b';
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.args = std::move(args_json);
-  e.ts_ns = now_ns();
-  e.id = id;
-  record(std::move(e));
-}
-
-void Tracer::async_end(std::string name, std::string cat, std::uint64_t id) {
-  if (!enabled()) return;
-  Event e;
-  e.ph = 'e';
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.ts_ns = now_ns();
-  e.id = id;
-  record(std::move(e));
-}
-
-void Tracer::flow_start(std::string name, std::string cat, std::uint64_t id) {
-  if (!enabled()) return;
-  Event e;
-  e.ph = 's';
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.ts_ns = now_ns();
-  e.id = id;
-  record(std::move(e));
-}
-
-void Tracer::flow_step(std::string name, std::string cat, std::uint64_t id) {
-  if (!enabled()) return;
-  Event e;
-  e.ph = 't';
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.ts_ns = now_ns();
-  e.id = id;
-  record(std::move(e));
-}
-
-void Tracer::flow_end(std::string name, std::string cat, std::uint64_t id) {
-  if (!enabled()) return;
-  Event e;
-  e.ph = 'f';
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.ts_ns = now_ns();
-  e.id = id;
-  record(std::move(e));
-}
-
-void Tracer::set_thread_name(std::string name) {
-#ifndef NUP_OBS_DISABLE
-  ThreadBuffer& buffer = local_buffer();
-  std::lock_guard<std::mutex> lock(buffer.mu);
-  buffer.thread_name = std::move(name);
-#else
-  (void)name;
-#endif
+void Tracer::set_thread_name(std::string_view name) {
+  journal_.set_thread_name(name);
 }
 
 std::string Tracer::to_chrome_json() const {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers = buffers_;
-  }
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
+  // recorded() is read first, so a concurrent writer can only make the
+  // overwritten count low, never report a loss that did not happen.
+  const std::uint64_t recorded = journal_.recorded();
+  const std::vector<JournalRecord> events = journal_.snapshot();
+  const std::vector<std::string> names = journal_.names();
+  const std::vector<std::string> threads = journal_.thread_names();
+  const std::int64_t cut = cut_ns_.load(std::memory_order_relaxed);
+
+  std::string out = "{\"traceEvents\":[";
   bool first = true;
-  const auto comma = [&] {
-    if (!first) out << ',';
+  const auto open = [&](char ph) {
+    if (!first) out += ',';
     first = false;
+    out += "{\"ph\":\"";
+    out += ph;
+    out += "\",\"name\":";
   };
-  for (const std::shared_ptr<ThreadBuffer>& buffer : buffers) {
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    if (!buffer->thread_name.empty()) {
-      comma();
-      out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":"
-          << buffer->tid << ",\"args\":{\"name\":";
-      append_json_string(out, buffer->thread_name);
-      out << "}}";
-    }
-    for (const Event& e : buffer->events) {
-      comma();
-      out << "{\"ph\":\"" << e.ph << "\",\"name\":";
-      append_json_string(out, e.name);
-      if (!e.cat.empty()) {
-        out << ",\"cat\":";
-        append_json_string(out, e.cat);
-      }
-      out << ",\"pid\":1,\"tid\":" << buffer->tid << ",\"ts\":";
-      append_us(out, e.ts_ns);
-      if (e.ph == 'X') {
-        out << ",\"dur\":";
-        append_us(out, e.dur_ns);
-      }
-      if (e.ph == 'b' || e.ph == 'e' || e.ph == 's' || e.ph == 't' ||
-          e.ph == 'f') {
-        // Async/flow events pair up by id; the flow end binds to its
-        // enclosing slice ("bp":"e") so the arrow lands on the span that
-        // was open when it was recorded.
-        out << ",\"id\":\"" << e.id << '"';
-        if (e.ph == 'f') out << ",\"bp\":\"e\"";
-      }
-      if (e.ph == 'C') {
-        out << ",\"args\":{\"value\":" << e.value << '}';
-      } else if (!e.args.empty()) {
-        out << ",\"args\":" << e.args;
-      } else if (e.ph == 'i') {
-        out << ",\"s\":\"t\"";
-      }
-      out << '}';
-    }
+  for (std::size_t t = 0; t < threads.size(); ++t) {
+    if (threads[t].empty()) continue;
+    open('M');
+    out += "\"thread_name\",\"pid\":1,\"tid\":" + std::to_string(t + 1) +
+           ",\"args\":{\"name\":";
+    append_json_string(out, threads[t]);
+    out += "}}";
   }
-  out << "]}";
-  return out.str();
+  for (const JournalRecord& r : events) {
+    const char ph = phase(r.kind);
+    if (ph == 0 || r.ts_ns <= cut) continue;
+    const std::uint64_t cat = static_cast<std::uint64_t>(r.b) & 0xffffffff;
+    const std::uint64_t program = static_cast<std::uint64_t>(r.b) >> 32;
+    open(ph);
+    append_json_string(out, r.name);
+    if (cat != 0) {
+      out += ",\"cat\":";
+      append_json_string(out, name_of(names, cat));
+    }
+    out += ",\"pid\":1,\"tid\":" + std::to_string(r.thread + 1) + ",\"ts\":";
+    append_us(out, r.ts_ns - epoch_ns_);
+    if (ph == 'X') {
+      out += ",\"dur\":";
+      append_us(out, r.a);
+    }
+    if (has_id(ph)) {
+      // The flow end binds to its enclosing slice ("bp":"e") so the arrow
+      // lands on the span that was open when it was recorded.
+      out += ",\"id\":\"" + std::to_string(r.frame) + '"';
+      if (ph == 'f') out += ",\"bp\":\"e\"";
+    }
+    std::string args;
+    if (ph == 'C') {
+      args = ",\"value\":" + std::to_string(r.a);
+    } else {
+      if (ph == 'b') {
+        args += ",\"seed\":" + std::to_string(static_cast<std::uint64_t>(r.a));
+      }
+      if (r.stage >= 0) args += ",\"stage\":" + std::to_string(r.stage);
+      if (r.tile >= 0) args += ",\"tile\":" + std::to_string(r.tile);
+      if (program != 0) {
+        args += ",\"program\":";
+        append_json_string(args, name_of(names, program));
+      }
+    }
+    if (!args.empty()) {
+      args[0] = '{';
+      out += ",\"args\":" + args + '}';
+    } else if (ph == 'i') {
+      out += ",\"s\":\"t\"";
+    }
+    out += '}';
+  }
+  const std::uint64_t retained = events.size();
+  out += "],\"otherData\":{\"recorded\":" + std::to_string(recorded) +
+         ",\"overwritten\":" +
+         std::to_string(recorded > retained ? recorded - retained : 0) +
+         "}}";
+  return out;
 }
 
 void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::shared_ptr<ThreadBuffer>& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-    buffer->events.clear();
-  }
+  cut_ns_.store(Journal::now_ns(), std::memory_order_relaxed);
 }
 
 std::size_t Tracer::event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::int64_t cut = cut_ns_.load(std::memory_order_relaxed);
   std::size_t n = 0;
-  for (const std::shared_ptr<ThreadBuffer>& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-    n += buffer->events.size();
+  for (const JournalRecord& r : journal_.snapshot()) {
+    if (r.ts_ns > cut) ++n;
   }
   return n;
 }
 
+std::uint64_t Tracer::overwritten() const {
+  const std::uint64_t recorded = journal_.recorded();
+  const std::uint64_t retained = journal_.snapshot().size();
+  return recorded > retained ? recorded - retained : 0;
+}
+
 // ---- Span --------------------------------------------------------------
 
-Span::Span(std::string name, std::string cat, std::string args_json)
-    : Span(Tracer::global(), std::move(name), std::move(cat),
-           std::move(args_json)) {}
-
-Span::Span(Tracer& tracer, std::string name, std::string cat,
-           std::string args_json)
-    : tracer_(&tracer),
-      name_(std::move(name)),
-      cat_(std::move(cat)),
-      args_(std::move(args_json)),
-      active_(tracer.enabled()) {
-  if (active_) start_ns_ = tracer_->now_ns();
+Span::Span(Tracer& tracer, TraceName name, const TraceArgs& args)
+    : tracer_(tracer), name_(name), args_(args), active_(tracer.enabled()) {
+  if (active_) start_ns_ = Journal::now_ns();
 }
 
 void Span::end() {
@@ -290,15 +187,9 @@ void Span::end() {
   // Record directly, not via complete(): a span live at construction must
   // close even when the tracer was disabled mid-flight, or the trace
   // would end with a dangling open region.
-  Tracer::Event e;
-  e.ph = 'X';
-  e.name = std::move(name_);
-  e.cat = std::move(cat_);
-  e.args = std::move(args_);
-  e.ts_ns = start_ns_;
-  const std::int64_t end_ns = tracer_->now_ns();
-  e.dur_ns = end_ns > start_ns_ ? end_ns - start_ns_ : 0;
-  tracer_->record(std::move(e));
+  const std::int64_t dur = Journal::now_ns() - start_ns_;
+  tracer_.record(JournalKind::kTraceSpan, start_ns_, name_, 0,
+                 dur > 0 ? dur : 0, args_);
 }
 
 Span::~Span() { end(); }

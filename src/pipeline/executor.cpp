@@ -84,6 +84,12 @@ struct PipelineExecutor::Impl
   obs::Registry* registry = nullptr;
   obs::Journal* journal = nullptr;
   std::uint32_t jname = 0;
+  obs::Tracer& tracer = obs::Tracer::global();
+  /// Trace event names, interned once.
+  struct TraceNames {
+    obs::TraceName release, frame, frame_flow, frame_completed, frame_failed,
+        frame_cancelled;
+  } tn;
 
   std::unique_ptr<runtime::FrameEngine> engine;  ///< runs every stage
   std::vector<std::shared_ptr<const runtime::TilePlan>> plans;  // per stage
@@ -140,6 +146,12 @@ struct PipelineExecutor::Impl
     journal = options.journal ? options.journal : &obs::Journal::global();
     jname = journal->intern(
         options.name.empty() ? "pipeline" : options.name);
+    tn.release = tracer.intern("pipeline.release", "pipeline");
+    tn.frame = tracer.intern("pipeline.frame", "pipeline");
+    tn.frame_flow = tracer.intern("frame", "pipeline");
+    tn.frame_completed = tracer.intern("pipeline.frame.completed", "pipeline");
+    tn.frame_failed = tracer.intern("pipeline.frame.failed", "pipeline");
+    tn.frame_cancelled = tracer.intern("pipeline.frame.cancelled", "pipeline");
     if (graph.stage_count() == 0) {
       throw Error("PipelineExecutor: empty stage graph");
     }
@@ -244,12 +256,10 @@ struct PipelineExecutor::Impl
     journal->record(obs::JournalKind::kDepResolved, c.trace_id,
                     static_cast<std::int32_t>(stage),
                     static_cast<std::int64_t>(tile), us, 0, jname);
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.instant("pipeline.release", "pipeline",
-                     "{\"stage\":" + std::to_string(stage) +
-                         ",\"tile\":" + std::to_string(tile) + "}");
-    }
+    obs::TraceArgs args;
+    args.stage = static_cast<std::int32_t>(stage);
+    args.tile = static_cast<std::int64_t>(tile);
+    tracer.instant(tn.release, args);
     // Outside c.mu: a release from the submitting thread can block.
     engine->release_tile(c.handles[stage], tile);
   }
@@ -414,17 +424,12 @@ struct PipelineExecutor::Impl
         : r.cancelled    ? obs::JournalKind::kFrameCancelled
                          : obs::JournalKind::kFrameCompleted;
     journal->record(kind, c.trace_id, -1, -1, r.total_us, 0, jname);
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.instant(!r.error.empty()
-                         ? "pipeline.frame.failed"
-                         : r.cancelled ? "pipeline.frame.cancelled"
-                                       : "pipeline.frame.completed",
-                     "pipeline");
-      if (c.own_events) {
-        tracer.flow_end("frame", "pipeline", c.trace_id);
-        tracer.async_end("pipeline.frame", "pipeline", c.trace_id);
-      }
+    tracer.instant(!r.error.empty() ? tn.frame_failed
+                   : r.cancelled        ? tn.frame_cancelled
+                                        : tn.frame_completed);
+    if (c.own_events) {
+      tracer.flow_end(tn.frame_flow, c.trace_id);
+      tracer.async_end(tn.frame, c.trace_id);
     }
     if (r.cancelled && r.error.empty() && c.own_events) {
       obs::PostmortemInfo pm;
@@ -506,66 +511,6 @@ PipelineHandle PipelineExecutor::submit(std::uint64_t seed) {
 
 PipelineHandle PipelineExecutor::submit(std::uint64_t seed,
                                         FrameOptions frame) {
-  return submit_internal(seed, std::move(frame), /*reserved=*/false);
-}
-
-std::vector<PipelineHandle> PipelineExecutor::submit_group(
-    const std::vector<std::uint64_t>& seeds,
-    std::vector<FrameOptions> frames) {
-  Impl& im = *impl_;
-  if (!frames.empty() && frames.size() != seeds.size()) {
-    throw Error("PipelineExecutor::submit_group: frames/seeds size mismatch");
-  }
-  if (seeds.empty()) return {};
-  const std::size_t n = seeds.size();
-  const std::size_t window = im.options.max_frames_in_flight;
-  if (window != 0 && n > window) {
-    throw Error("PipelineExecutor::submit_group: group of " +
-                std::to_string(n) +
-                " frames exceeds max_frames_in_flight " +
-                std::to_string(window));
-  }
-  {
-    // Reserve the whole group in one critical section: concurrent
-    // submitters see the window shrink by n at once, so no foreign frame
-    // can land between two frames of the group.
-    std::unique_lock<std::mutex> lock(im.mu);
-    im.window_cv.wait(lock, [&] {
-      return !im.accepting || window == 0 || im.frames_active + n <= window;
-    });
-    if (!im.accepting) {
-      throw Error("PipelineExecutor::submit_group after shutdown");
-    }
-    im.frames_active += n;
-    im.g_inflight->set(static_cast<std::int64_t>(im.frames_active));
-    im.g_inflight_max->update_max(
-        static_cast<std::int64_t>(im.frames_active));
-  }
-  std::vector<PipelineHandle> handles;
-  handles.reserve(n);
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      handles.push_back(submit_internal(
-          seeds[i], frames.empty() ? FrameOptions{} : std::move(frames[i]),
-          /*reserved=*/true));
-    }
-  } catch (...) {
-    // Release the reservations no frame ever claimed, so the window is
-    // not leaked (admitted frames release theirs through frame_done).
-    {
-      std::lock_guard<std::mutex> lock(im.mu);
-      im.frames_active -= n - handles.size();
-      im.g_inflight->set(static_cast<std::int64_t>(im.frames_active));
-    }
-    im.window_cv.notify_all();
-    throw;
-  }
-  return handles;
-}
-
-PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
-                                                 FrameOptions frame,
-                                                 bool reserved) {
   Impl& im = *impl_;
   auto ctx = std::make_shared<FrameCtx>();
   ctx->impl = im.weak_from_this();
@@ -610,23 +555,18 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
     // are unresolved (frame_done signals). Frame ids are assigned at
     // admission, so armed ids are always distinct.
     std::unique_lock<std::mutex> lock(im.mu);
-    if (!reserved) {
-      im.window_cv.wait(lock, [&] {
-        return !im.accepting || im.options.max_frames_in_flight == 0 ||
-               im.frames_active < im.options.max_frames_in_flight;
-      });
-    }
+    im.window_cv.wait(lock, [&] {
+      return !im.accepting || im.options.max_frames_in_flight == 0 ||
+             im.frames_active < im.options.max_frames_in_flight;
+    });
     if (!im.accepting) {
       throw Error("PipelineExecutor::submit after shutdown");
     }
     ctx->frame_id = im.next_frame_id++;
-    if (!reserved) {
-      // A group submit already claimed its slots in submit_group.
-      ++im.frames_active;
-      im.g_inflight->set(static_cast<std::int64_t>(im.frames_active));
-      im.g_inflight_max->update_max(
-          static_cast<std::int64_t>(im.frames_active));
-    }
+    ++im.frames_active;
+    im.g_inflight->set(static_cast<std::int64_t>(im.frames_active));
+    im.g_inflight_max->update_max(
+        static_cast<std::int64_t>(im.frames_active));
     // Prune frames that already resolved; keep live ones reachable for
     // shutdown() even when the caller drops its handle.
     std::erase_if(im.inflight, [](const std::shared_ptr<FrameCtx>& f) {
@@ -643,11 +583,9 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
   ctx->t0 = std::chrono::steady_clock::now();
   im.journal->record(obs::JournalKind::kFrameAdmitted, ctx->trace_id, -1, -1,
                      admit_us, total_tiles, im.jname);
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (ctx->own_events && tracer.enabled()) {
-    tracer.async_begin("pipeline.frame", "pipeline", ctx->trace_id,
-                       "{\"seed\":" + std::to_string(seed) + "}");
-    tracer.flow_start("frame", "pipeline", ctx->trace_id);
+  if (ctx->own_events) {
+    im.tracer.async_begin(im.tn.frame, ctx->trace_id, seed);
+    im.tracer.flow_start(im.tn.frame_flow, ctx->trace_id);
   }
 
   // Register every stage frame (deferred: nothing enqueues) before any

@@ -184,20 +184,6 @@ class PipelineExecutor {
   /// FrameOptions.
   PipelineHandle submit(std::uint64_t seed, FrameOptions frame);
 
-  /// Atomically admits a whole group of frames under the admission window:
-  /// blocks until frames_active + seeds.size() fits, reserves every slot
-  /// in one critical section, then submits the seeds back-to-back -- no
-  /// concurrent submitter can interleave its frame between two frames of
-  /// the group. The serving layer admits a design-affinity batch this way,
-  /// so the batch occupies the window as a unit and drains together.
-  /// `frames` supplies per-frame hooks positionally (empty = defaults; any
-  /// other size mismatch throws). Throws Error when a non-zero window is
-  /// smaller than the group (it could never be admitted) or after
-  /// shutdown. An empty group returns no handles without blocking.
-  std::vector<PipelineHandle> submit_group(
-      const std::vector<std::uint64_t>& seeds,
-      std::vector<FrameOptions> frames = {});
-
   const StageGraph& graph() const;
 
   /// The pipeline's one engine, shared by every stage.
@@ -208,11 +194,6 @@ class PipelineExecutor {
  private:
   friend class PipelineHandle;
   friend struct detail::FrameCtx;
-  /// Shared submit path; `reserved` marks a window slot already claimed by
-  /// submit_group (the admission wait and frames_active increment are
-  /// skipped).
-  PipelineHandle submit_internal(std::uint64_t seed, FrameOptions frame,
-                                 bool reserved);
   struct Impl;
   std::shared_ptr<Impl> impl_;  ///< shared: aborts may outlive shutdown
 };

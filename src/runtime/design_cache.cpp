@@ -101,6 +101,7 @@ DesignCache::DesignCache(std::size_t capacity, obs::Registry* registry,
   m_pinned_ = &reg.gauge(prefix + "pinned");
   m_entries_ = &reg.gauge(prefix + "entries");
   m_compile_us_ = &reg.histogram(prefix + "compile_us");
+  t_compile_ = obs::Tracer::global().intern("design-compile", "cache");
 }
 
 std::list<DesignCache::Entry>::iterator
@@ -123,12 +124,9 @@ DesignCache::lookup_or_compile_locked(const stencil::StencilProgram& program,
   // Miss path: microarchitecture generation + row-program compilation,
   // recorded as one "design-compile" span and a latency observation.
   obs::Tracer& tracer = obs::Tracer::global();
-  std::string span_args;
-  if (tracer.enabled()) {
-    span_args = "{\"fingerprint\":" + std::to_string(entry->fingerprint) +
-                ",\"program\":\"" + program.name() + "\"}";
-  }
-  obs::Span span(tracer, "design-compile", "cache", std::move(span_args));
+  obs::TraceArgs span_args;
+  if (tracer.enabled()) span_args.program = tracer.intern(program.name());
+  obs::Span span(tracer, t_compile_, span_args);
   const auto t0 = std::chrono::steady_clock::now();
   entry->design = arch::build_design(program, build);
   entry->plan = sim::compile_fast_plan(program, entry->design);

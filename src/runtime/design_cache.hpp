@@ -10,6 +10,7 @@
 #include "arch/builder.hpp"
 #include "arch/design.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/fast.hpp"
 #include "stencil/program.hpp"
 
@@ -134,6 +135,7 @@ class DesignCache {
   obs::Gauge* m_pinned_ = nullptr;
   obs::Gauge* m_entries_ = nullptr;
   obs::Histogram* m_compile_us_ = nullptr;
+  obs::TraceName t_compile_;  ///< the "design-compile" span
 };
 
 }  // namespace nup::runtime

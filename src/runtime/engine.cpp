@@ -225,6 +225,12 @@ struct FrameEngine::Impl {
   obs::Registry* registry = nullptr;
   obs::Journal* journal = nullptr;
   std::uint32_t jname = 0;  ///< this engine's interned journal name
+  obs::Tracer& tracer = obs::Tracer::global();
+  /// Trace event names, interned once.
+  struct TraceNames {
+    obs::TraceName tile, tile_skipped, queue_depth, frame, frame_completed,
+        frame_failed, frame_cancelled;
+  } tn;
   DesignCache cache;
 
   /// Scheduling topology: exactly one node with --numa off (the queues
@@ -307,6 +313,13 @@ struct FrameEngine::Impl {
                                           : Topology::discover();
     queues.resize(topo.node_count());
     jname = journal->intern(options.name.empty() ? "engine" : options.name);
+    tn.tile = tracer.intern("tile", "engine");
+    tn.tile_skipped = tracer.intern("tile.skipped", "engine");
+    tn.queue_depth = tracer.intern(prefix + "queue_depth", "counter");
+    tn.frame = tracer.intern("frame", "frame");
+    tn.frame_completed = tracer.intern("frame.completed", "engine");
+    tn.frame_failed = tracer.intern("frame.failed", "engine");
+    tn.frame_cancelled = tracer.intern("frame.cancelled", "engine");
     m_queue_depth = &registry->gauge(prefix + "queue_depth");
     m_queue_depth_max = &registry->gauge(prefix + "queue_depth_max");
     m_backpressure_us = &registry->histogram(prefix + "backpressure_wait_us");
@@ -395,11 +408,7 @@ struct FrameEngine::Impl {
   void note_queue_depth(std::size_t depth) {
     m_queue_depth->set(static_cast<std::int64_t>(depth));
     m_queue_depth_max->update_max(static_cast<std::int64_t>(depth));
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.counter(prefix + "queue_depth",
-                     static_cast<std::int64_t>(depth));
-    }
+    tracer.counter(tn.queue_depth, static_cast<std::int64_t>(depth));
   }
 
   void resolve(FrameState& frame) {
@@ -440,18 +449,12 @@ struct FrameEngine::Impl {
                         : obs::JournalKind::kFrameCompleted,
                     frame.options.frame_id, frame.options.stage, -1,
                     frame_us, 0, jname);
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.instant(
-          !frame.result.error.empty()
-              ? "frame.failed"
-              : frame.result.cancelled ? "frame.cancelled"
-                                       : "frame.completed",
-          "engine");
-      if (frame.options.own_frame_events) {
-        tracer.flow_end("frame", "frame", frame.options.frame_id);
-        tracer.async_end("frame", "frame", frame.options.frame_id);
-      }
+    tracer.instant(!frame.result.error.empty() ? tn.frame_failed
+                   : frame.result.cancelled        ? tn.frame_cancelled
+                                                   : tn.frame_completed);
+    if (frame.options.own_frame_events) {
+      tracer.flow_end(tn.frame, frame.options.frame_id);
+      tracer.async_end(tn.frame, frame.options.frame_id);
     }
     if (frame.result.cancelled && frame.options.own_frame_events) {
       // Failure post-mortems are dumped at the failing tile (where the
@@ -484,26 +487,68 @@ struct FrameEngine::Impl {
     }
   }
 
+  /// Trace args naming one tile of a frame; interns the tile's program
+  /// name only while tracing.
+  obs::TraceArgs tile_args(const FrameState& frame, std::size_t tile_idx) {
+    obs::TraceArgs args;
+    args.tile = static_cast<std::int64_t>(tile_idx);
+    if (tracer.enabled()) {
+      args.program =
+          tracer.intern(frame.plan->tiles[tile_idx].program->name());
+    }
+    return args;
+  }
+
+  /// Resolves tiles [first, first + n) of a frame as skipped (cancelled,
+  /// aborted, or cut off by shutdown): counts, a journal event, a
+  /// `tile.skipped` instant and the on_tile hook per tile, then the
+  /// countdown that may resolve the frame. A trace of a cancelled frame
+  /// thereby accounts for every tile: a `tile` span or a skip instant.
+  void skip_tiles(FrameState& frame, std::size_t first, std::size_t n) {
+    const auto count = static_cast<std::int64_t>(n);
+    frame.cancelled.store(true, std::memory_order_relaxed);
+    frame.skipped.fetch_add(count, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu);
+      counts.tiles_skipped += count;
+    }
+    m_tiles_skipped->add(count);
+    for (std::size_t t = first; t < first + n; ++t) {
+      journal->record(obs::JournalKind::kTileSkipped, frame.options.frame_id,
+                      frame.options.stage, static_cast<std::int64_t>(t), 0,
+                      0, jname);
+      tracer.instant(tn.tile_skipped, tile_args(frame, t));
+      if (frame.options.on_tile) frame.options.on_tile(t, nullptr, false);
+    }
+    finish_tiles(frame, count);
+  }
+
+  /// Dumps the failing tile's post-mortem bundle (the first failure of a
+  /// frame owns it), with the offending design and FIFO when known.
+  void dump_tile_postmortem(const FrameState& frame, std::size_t tile_idx,
+                            const char* reason, const std::string& detail,
+                            const arch::AcceleratorDesign* design = nullptr,
+                            const obs::FifoDetail* fifo = nullptr) {
+    obs::PostmortemInfo pm;
+    pm.reason = reason;
+    pm.detail = detail;
+    pm.frame = frame.options.frame_id;
+    pm.stage = frame.options.stage;
+    pm.tile = static_cast<std::int64_t>(tile_idx);
+    if (design != nullptr) pm.design = arch::describe(*design);
+    if (fifo != nullptr) {
+      pm.has_fifo = true;
+      pm.fifo = *fifo;
+    }
+    journal->dump_postmortem(pm, registry);
+  }
+
+  /// Executes one tile, or skips it when its frame is cancelled, then
+  /// counts it down.
   void run_tile(FrameState& frame, const Tile& tile, std::size_t tile_idx,
                 obs::Counter& worker_busy_us, obs::Counter& worker_tiles) {
-    obs::Tracer& tracer = obs::Tracer::global();
     if (frame.cancelled.load(std::memory_order_relaxed)) {
-      frame.skipped.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++counts.tiles_skipped;
-      }
-      m_tiles_skipped->inc();
-      journal->record(obs::JournalKind::kTileSkipped,
-                      frame.options.frame_id, frame.options.stage,
-                      static_cast<std::int64_t>(tile_idx), 0, 0, jname);
-      // Skipped tiles leave no open span behind: a zero-duration instant
-      // marks them so a trace of a cancelled frame still accounts for
-      // every tile.
-      if (tracer.enabled()) tracer.instant("tile.skipped", "engine");
-      if (frame.options.on_tile) {
-        frame.options.on_tile(tile_idx, nullptr, false);
-      }
+      skip_tiles(frame, tile_idx, 1);
       return;
     }
     frame.executed.fetch_add(1, std::memory_order_relaxed);
@@ -513,15 +558,9 @@ struct FrameEngine::Impl {
     }
     m_tiles_executed->inc();
 
-    std::string span_args;
-    if (tracer.enabled()) {
-      span_args = "{\"seed\":" + std::to_string(frame.seed) +
-                  ",\"tile\":" + std::to_string(tile_idx) + ",\"program\":\"" +
-                  tile.program->name() + "\"}";
-    }
     // RAII span: closes on every exit path (including a tile that throws),
     // so cancelled or failed frames never leave a dangling span.
-    obs::Span span(tracer, "tile", "engine", std::move(span_args));
+    obs::Span span(tracer, tn.tile, tile_args(frame, tile_idx));
     const auto t0 = std::chrono::steady_clock::now();
     bool ok = true;
     try {
@@ -558,9 +597,7 @@ struct FrameEngine::Impl {
       const sim::SimResult r = sim.run();
       // Emitted while the tile span is open, so the frame's flow arrow
       // binds to this tile slice in Perfetto.
-      if (tracer.enabled()) {
-        tracer.flow_step("frame", "frame", frame.options.frame_id);
-      }
+      tracer.flow_step(tn.frame, frame.options.frame_id);
       obs::FifoDetail violation;
       const int violations =
           publish_sim_telemetry(*registry, entry->design, r, &violation);
@@ -577,14 +614,8 @@ struct FrameEngine::Impl {
                           frame.options.frame_id, frame.options.stage,
                           static_cast<std::int64_t>(tile_idx), r.cycles, 0,
                           jname);
-          obs::PostmortemInfo pm;
-          pm.reason = "deadlock";
-          pm.detail = what;
-          pm.frame = frame.options.frame_id;
-          pm.stage = frame.options.stage;
-          pm.tile = static_cast<std::int64_t>(tile_idx);
-          pm.design = arch::describe(entry->design);
-          journal->dump_postmortem(pm, registry);
+          dump_tile_postmortem(frame, tile_idx, "deadlock", what,
+                               &entry->design);
         }
       } else if (r.kernel_fires != tile.outputs()) {
         ok = false;
@@ -593,14 +624,8 @@ struct FrameEngine::Impl {
             std::to_string(r.kernel_fires) + " of " +
             std::to_string(tile.outputs()) + " outputs";
         if (frame.fail(what)) {
-          obs::PostmortemInfo pm;
-          pm.reason = "frame_failed";
-          pm.detail = what;
-          pm.frame = frame.options.frame_id;
-          pm.stage = frame.options.stage;
-          pm.tile = static_cast<std::int64_t>(tile_idx);
-          pm.design = arch::describe(entry->design);
-          journal->dump_postmortem(pm, registry);
+          dump_tile_postmortem(frame, tile_idx, "frame_failed", what,
+                               &entry->design);
         }
       } else if (violations > 0) {
         ok = false;
@@ -612,29 +637,15 @@ struct FrameEngine::Impl {
                           frame.options.frame_id, frame.options.stage,
                           static_cast<std::int64_t>(tile_idx),
                           violation.high_water, violation.depth, jname);
-          obs::PostmortemInfo pm;
-          pm.reason = "depth_violation";
-          pm.detail = what;
-          pm.frame = frame.options.frame_id;
-          pm.stage = frame.options.stage;
-          pm.tile = static_cast<std::int64_t>(tile_idx);
-          pm.design = arch::describe(entry->design);
-          pm.has_fifo = true;
-          pm.fifo = violation;
-          journal->dump_postmortem(pm, registry);
+          dump_tile_postmortem(frame, tile_idx, "depth_violation", what,
+                               &entry->design, &violation);
         }
       }
     } catch (const std::exception& e) {
       ok = false;
       const std::string what = tile.program->name() + ": " + e.what();
       if (frame.fail(what)) {
-        obs::PostmortemInfo pm;
-        pm.reason = "frame_failed";
-        pm.detail = what;
-        pm.frame = frame.options.frame_id;
-        pm.stage = frame.options.stage;
-        pm.tile = static_cast<std::int64_t>(tile_idx);
-        journal->dump_postmortem(pm, registry);
+        dump_tile_postmortem(frame, tile_idx, "frame_failed", what);
       }
     }
     const std::int64_t us = elapsed_us(t0);
@@ -649,13 +660,17 @@ struct FrameEngine::Impl {
       frame.options.on_tile(tile_idx,
                             ok ? frame.result.outputs.data() : nullptr, ok);
     }
+    // The tile's span is recorded before the countdown can resolve the
+    // frame and wake its waiter.
+    span.end();
+    finish_tiles(frame, 1);
   }
 
   void worker_loop(std::size_t worker, std::size_t node,
                    std::size_t node_slot) {
     set_os_thread_name("nup-w" + std::to_string(node) + "." +
                        std::to_string(node_slot));
-    obs::Tracer::global().set_thread_name(
+    tracer.set_thread_name(
         (options.name.empty() ? std::string() : options.name + ".") +
         "worker-" + std::to_string(worker));
     if (options.numa != NumaMode::kOff) pin_to_cpus(topo.node(node).cpus);
@@ -706,7 +721,6 @@ struct FrameEngine::Impl {
       const Tile& tile = job.frame->plan->tiles[job.tile];
       note_dispatch(node, stolen_job, tile.streamed_elements * 8);
       run_tile(*job.frame, tile, job.tile, busy_us, worker_tiles);
-      finish_tiles(*job.frame, 1);
     }
   }
 
@@ -848,11 +862,9 @@ FrameHandle FrameEngine::submit(std::shared_ptr<const TilePlan> plan,
                      frame->options.frame_id, frame->options.stage, -1, 0,
                      static_cast<std::int64_t>(plan->tiles.size()),
                      im.jname);
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (frame->options.own_frame_events && tracer.enabled()) {
-    tracer.async_begin("frame", "frame", frame->options.frame_id,
-                       "{\"seed\":" + std::to_string(seed) + "}");
-    tracer.flow_start("frame", "frame", frame->options.frame_id);
+  if (frame->options.own_frame_events) {
+    im.tracer.async_begin(im.tn.frame, frame->options.frame_id, seed);
+    im.tracer.flow_start(im.tn.frame, frame->options.frame_id);
   }
   if (frame->options.deferred) {
     // The caller releases tiles itself (release_tile) as dependencies
@@ -870,16 +882,7 @@ FrameHandle FrameEngine::submit(std::shared_ptr<const TilePlan> plan,
     ++pushed;
   }
   if (pushed < plan->tiles.size()) {
-    const std::int64_t n =
-        static_cast<std::int64_t>(plan->tiles.size() - pushed);
-    frame->cancelled.store(true, std::memory_order_relaxed);
-    frame->skipped.fetch_add(n, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(im.stats_mu);
-      im.counts.tiles_skipped += n;
-    }
-    im.m_tiles_skipped->add(n);
-    im.finish_tiles(*frame, n);
+    im.skip_tiles(*frame, pushed, plan->tiles.size() - pushed);
   }
   return FrameHandle(frame);
 }
@@ -903,18 +906,7 @@ void FrameEngine::release_tile(const FrameHandle& frame,
 
   // Shutdown raced the release: the tile resolves as skipped so the
   // deferred frame still terminates (mirrors submit()'s truncation path).
-  state.cancelled.store(true, std::memory_order_relaxed);
-  state.skipped.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(im.stats_mu);
-    ++im.counts.tiles_skipped;
-  }
-  im.m_tiles_skipped->inc();
-  im.journal->record(obs::JournalKind::kTileSkipped,
-                     state.options.frame_id, state.options.stage,
-                     static_cast<std::int64_t>(tile_idx), 0, 0, im.jname);
-  if (state.options.on_tile) state.options.on_tile(tile_idx, nullptr, false);
-  im.finish_tiles(state, 1);
+  im.skip_tiles(state, tile_idx, 1);
 }
 
 void FrameEngine::skip_tile(const FrameHandle& frame,
@@ -928,18 +920,7 @@ void FrameEngine::skip_tile(const FrameHandle& frame,
     throw Error("FrameEngine::skip_tile: tile " + std::to_string(tile_idx) +
                 " out of range");
   }
-  state.cancelled.store(true, std::memory_order_relaxed);
-  state.skipped.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(im.stats_mu);
-    ++im.counts.tiles_skipped;
-  }
-  im.m_tiles_skipped->inc();
-  im.journal->record(obs::JournalKind::kTileSkipped,
-                     state.options.frame_id, state.options.stage,
-                     static_cast<std::int64_t>(tile_idx), 0, 0, im.jname);
-  if (state.options.on_tile) state.options.on_tile(tile_idx, nullptr, false);
-  im.finish_tiles(state, 1);
+  im.skip_tiles(state, tile_idx, 1);
 }
 
 DesignCache& FrameEngine::cache() { return impl_->cache; }

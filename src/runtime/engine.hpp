@@ -99,7 +99,9 @@ struct SubmitOptions {
 
   /// Tile-resolution hook, called in the executing worker thread after the
   /// tile's outputs are stitched into the frame (ok == true) or after the
-  /// tile was skipped / failed (ok == false). `outputs` points at the
+  /// tile was skipped / failed (ok == false). A tile skipped outside the
+  /// workers (skip_tile, or a submit or release_tile cut off by shutdown)
+  /// runs the hook in that caller's thread. `outputs` points at the
   /// frame's full output vector; only this tile's output_ranks entries are
   /// safe to read (other tiles may still be written concurrently). It is
   /// nullptr for skipped tiles. It runs before the tile is counted done,

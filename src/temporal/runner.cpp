@@ -75,6 +75,8 @@ TemporalRunner::TemporalRunner(const stencil::StencilProgram& program,
   journal_ = options_.pipeline.journal ? options_.pipeline.journal
                                        : &obs::Journal::global();
   jname_ = journal_->intern("temporal." + effective);
+  t_frame_ = obs::Tracer::global().intern("temporal.frame", "temporal");
+  t_flow_ = obs::Tracer::global().intern("frame", "temporal");
 
   for (std::size_t k = 0; k < schedule_.shapes.size(); ++k) {
     pipeline::PipelineOptions po = options_.pipeline;
@@ -189,13 +191,8 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
     f.trace_id = obs::next_frame_id();
     journal_->record(obs::JournalKind::kFrameAdmitted, f.trace_id, -1, -1,
                      0, static_cast<std::int64_t>(num_passes), jname_);
-    if (tracer.enabled()) {
-      tracer.async_begin("temporal.frame", "temporal", f.trace_id,
-                         "{\"seed\":" + std::to_string(seeds[next_frame]) +
-                             ",\"passes\":" + std::to_string(num_passes) +
-                             "}");
-      tracer.flow_start("frame", "temporal", f.trace_id);
-    }
+    tracer.async_begin(t_frame_, f.trace_id, seeds[next_frame]);
+    tracer.flow_start(t_flow_, f.trace_id);
     f.handle = submit_pass(seeds[next_frame], 0, f.trace_id, nullptr, {}, {});
     in_flight.push_back(std::move(f));
     ++next_frame;
@@ -207,10 +204,8 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
                             : obs::JournalKind::kFrameCompleted,
                      f.trace_id, -1, -1, generations,
                      static_cast<std::int64_t>(f.pass), jname_);
-    if (tracer.enabled()) {
-      tracer.flow_end("frame", "temporal", f.trace_id);
-      tracer.async_end("temporal.frame", "temporal", f.trace_id);
-    }
+    tracer.flow_end(t_flow_, f.trace_id);
+    tracer.async_end(t_frame_, f.trace_id);
   };
   while (in_flight.size() < window && next_frame < seeds.size()) admit();
 

@@ -7,6 +7,7 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/executor.hpp"
 #include "stencil/program.hpp"
 #include "temporal/unroll.hpp"
@@ -118,6 +119,8 @@ class TemporalRunner {
   std::string metric_prefix_;
   obs::Journal* journal_ = nullptr;
   std::uint32_t jname_ = 0;
+  obs::TraceName t_frame_;  ///< the frame's async lane
+  obs::TraceName t_flow_;   ///< the frame's flow arrows
   std::vector<std::unique_ptr<pipeline::PipelineExecutor>> executors_;
   bool shut_down_ = false;
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "stencil/fuse.hpp"
 #include "stencil/gallery.hpp"
@@ -594,6 +595,66 @@ TEST(PipelineExecutor, CancelMidStageResolvesWithoutHanging) {
   EXPECT_TRUE(next.ok()) << next.error;
 }
 
+TEST(PipelineExecutor, TraceAccountsForEveryTileOfACancelledFrame) {
+  // Tiles of an aborted frame resolve as skipped on several paths (a
+  // worker finding the frame cancelled, the abort skipping unreleased
+  // tiles); every one must leave a `tile.skipped` instant, so each stage's
+  // tile spans plus skip instants add up to its tile count.
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  std::vector<stencil::StencilProgram> stages = {
+      smoother("S0", 1, 30, 16), smoother("S1", 2, 30, 16)};
+  std::atomic<int> fired{0};
+  stages[0].set_kernel([&fired](const std::vector<double>& v) {
+    fired.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(milliseconds(1));
+    return std::accumulate(v.begin(), v.end(), 0.0) / 5.0;
+  });
+  PipelineOptions options;
+  options.threads_per_stage = 1;
+  options.queue_capacity = 2;
+  options.tile_shape = {2, 0};
+  PipelineResult result;
+  {
+    PipelineExecutor executor(StageGraph::chain(stages), options);
+    PipelineHandle handle = executor.submit(8);
+    while (fired.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
+    handle.cancel();
+    result = handle.wait();
+  }
+  tracer.set_enabled(false);
+  ASSERT_TRUE(result.cancelled) << result.error;
+
+  const std::string json = tracer.to_chrome_json();
+  tracer.clear();
+  std::vector<std::string> events;
+  const std::string head = "{\"ph\":";
+  for (std::size_t at = json.find(head); at != std::string::npos;) {
+    const std::size_t next = json.find(head, at + 1);
+    events.push_back(json.substr(at, next - at));
+    at = next;
+  }
+  ASSERT_EQ(result.stages.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    const std::string program =
+        "\"program\":\"S" + std::to_string(k) + "_t";
+    std::int64_t spans = 0;
+    std::int64_t skips = 0;
+    for (const std::string& e : events) {
+      if (e.find(program) == std::string::npos) continue;
+      if (e.find("\"name\":\"tile\",") != std::string::npos) ++spans;
+      if (e.find("\"name\":\"tile.skipped\",") != std::string::npos) ++skips;
+    }
+    const runtime::FrameResult& stage = result.stages[k];
+    EXPECT_EQ(spans, stage.tiles_executed) << "stage " << k;
+    EXPECT_EQ(skips, stage.tiles_skipped) << "stage " << k;
+    EXPECT_EQ(spans + skips, stage.tiles_total) << "stage " << k;
+  }
+}
+
 TEST(PipelineExecutor, ShutdownCancelPendingAbortsInFlight) {
   std::vector<stencil::StencilProgram> stages = {
       smoother("S0", 1, 30, 16), smoother("S1", 2, 30, 16)};
@@ -669,88 +730,6 @@ TEST(PipelineExecutor, MetricsAreNamespacedPerPipeline) {
   EXPECT_GT(
       registry.counter("pipeline.edge.demo.s0_to_s1.slab_allocated").value(),
       0);
-}
-
-// ---- atomic group admission --------------------------------------------
-
-TEST(PipelineExecutor, SubmitGroupBitIdenticalToIndividualSubmits) {
-  std::vector<stencil::StencilProgram> stages = {
-      smoother("S0", 1, 20, 14), smoother("S1", 2, 20, 14)};
-  PipelineOptions options;
-  options.threads_per_stage = 1;
-  options.tile_shape = {4, 0};
-  options.max_frames_in_flight = 4;
-  PipelineExecutor executor(StageGraph::chain(stages), options);
-
-  const std::vector<std::uint64_t> seeds = {3, 14, 15, 92};
-  std::vector<PipelineHandle> handles = executor.submit_group(seeds);
-  ASSERT_EQ(handles.size(), seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    expect_pipeline_matches(stages, handles[i].wait(), seeds[i]);
-  }
-}
-
-TEST(PipelineExecutor, SubmitGroupOversizedOrMismatchedThrows) {
-  std::vector<stencil::StencilProgram> stages = {
-      smoother("S0", 1, 16, 12), smoother("S1", 2, 16, 12)};
-  PipelineOptions options;
-  options.threads_per_stage = 1;
-  options.tile_shape = {3, 0};
-  options.max_frames_in_flight = 2;
-  PipelineExecutor executor(StageGraph::chain(stages), options);
-
-  // A group larger than a non-zero window could never be admitted
-  // atomically: refuse it instead of deadlocking the caller.
-  EXPECT_THROW(executor.submit_group({1, 2, 3}), Error);
-
-  // Positional frame hooks must match the seed count (empty = defaults).
-  std::vector<FrameOptions> frames(1);
-  EXPECT_THROW(executor.submit_group({1, 2}, std::move(frames)), Error);
-
-  // An empty group is a no-op, not a blocking admission of nothing.
-  EXPECT_TRUE(executor.submit_group({}).empty());
-
-  // The failed calls left no window reservations behind: a full-window
-  // group still fits.
-  std::vector<PipelineHandle> handles = executor.submit_group({7, 8});
-  ASSERT_EQ(handles.size(), 2u);
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    expect_pipeline_matches(stages, handles[i].wait(), 7 + i);
-  }
-
-  executor.shutdown();
-  EXPECT_THROW(executor.submit_group({9}), Error);
-}
-
-TEST(PipelineExecutor, SubmitGroupWaitsForTheWholeWindow) {
-  // Window of two, one slot occupied: a group of two must wait for the
-  // occupant to drain and then be admitted as a unit -- the group is
-  // never split across the busy window.
-  obs::Registry registry;
-  std::vector<stencil::StencilProgram> stages = {
-      smoother("S0", 1, 18, 12), smoother("S1", 2, 18, 12)};
-  PipelineOptions options;
-  options.name = "grp";
-  options.threads_per_stage = 1;
-  options.tile_shape = {3, 0};
-  options.metrics = &registry;
-  options.max_frames_in_flight = 2;
-  PipelineExecutor executor(StageGraph::chain(stages), options);
-
-  PipelineHandle occupant = executor.submit(11);
-  std::vector<PipelineHandle> group;
-  std::thread submitter([&executor, &group] {
-    group = executor.submit_group({21, 22});
-  });
-  submitter.join();  // unblocked by the occupant draining
-  expect_pipeline_matches(stages, occupant.wait(), 11);
-  ASSERT_EQ(group.size(), 2u);
-  expect_pipeline_matches(stages, group[0].wait(), 21);
-  expect_pipeline_matches(stages, group[1].wait(), 22);
-
-  EXPECT_LE(registry.gauge("pipeline.grp.frames_in_flight_max").value(), 2);
-  EXPECT_EQ(registry.gauge("pipeline.grp.frames_in_flight").value(), 0);
-  EXPECT_EQ(registry.counter("pipeline.grp.frames_completed").value(), 3);
 }
 
 }  // namespace

@@ -682,9 +682,15 @@ int emit_observability(const std::string& metrics_path,
       !write_file(metrics_path, snap.to_json() + "\n")) {
     rc = 1;
   }
-  if (!trace_path.empty() &&
-      !write_file(trace_path, nup::obs::Tracer::global().to_chrome_json())) {
-    rc = 1;
+  if (!trace_path.empty()) {
+    const nup::obs::Tracer& tracer = nup::obs::Tracer::global();
+    if (!write_file(trace_path, tracer.to_chrome_json())) rc = 1;
+    if (const std::uint64_t lost = tracer.overwritten(); lost != 0) {
+      std::fprintf(stderr,
+                   "stencilcc: warning: trace ring wrap overwrote %llu "
+                   "event(s); %s holds only the newest\n",
+                   static_cast<unsigned long long>(lost), trace_path.c_str());
+    }
   }
   if (stats_table) std::printf("%s", snap.to_table().c_str());
   return rc;
